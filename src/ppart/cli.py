@@ -74,7 +74,12 @@ _CAP_ERRORS = (ExplosionError, CapError)
 
 def _load(path):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise PosetSyntaxError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return parse_poset(text), digest
 
@@ -95,15 +100,15 @@ def _qpoly_json(poly):
 
 
 def _cmd_analyze(P, args):
-    conn = connected_ideals(P)
-    pairs = nontrivial_pairs(P, conn)
     dd = delta_data(P)
     return {
         "n": P.n,
         "covers": [list(c) for c in sorted(P.covers)],
         "ideal_count": sum(1 for _ in iter_ideals(P)),
-        "connected_ideals": [members(J) for J in conn],
-        "nontrivial_pairs": [[members(p.j1), members(p.j2)] for p in pairs],
+        "connected_ideals": [members(J) for J in connected_ideals(P)],
+        "nontrivial_pairs": [
+            [members(p.j1), members(p.j2)] for p in nontrivial_pairs(P)
+        ],
         "naturally_labelled": is_naturally_labelled(P),
         "delta": list(dd.delta),
         "delta_chain_condition": dd.satisfies_labelled_condition,
@@ -275,6 +280,17 @@ _COMMANDS = {
 }
 
 
+def _count(text):
+    """argparse type of --trunc and the caps: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ppart",
@@ -284,11 +300,11 @@ def build_parser():
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("poset", help="path to a .poset file")
-        p.add_argument("--trunc", type=int, default=DEFAULT_TRUNC,
+        p.add_argument("--trunc", type=_count, default=DEFAULT_TRUNC,
                        help="series truncation order")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+        p.add_argument("--cap", type=_count, default=DEFAULT_CAP,
                        help="linear extension enumeration cap")
-        p.add_argument("--complex-cap", type=int, default=DEFAULT_VERTEX_CAP,
+        p.add_argument("--complex-cap", type=_count, default=DEFAULT_VERTEX_CAP,
                        help="vertex cap for the flag complex")
         if name == "extensions":
             p.add_argument("--list", action="store_true",
@@ -313,15 +329,8 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         P, digest = _load(args.poset)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         payload = _COMMANDS[args.command](P, args)
-    except _PARSE_ERRORS as exc:
+    except (OSError,) + _PARSE_ERRORS as exc:  # OSError: unreadable input or --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _DOMAIN_ERRORS as exc:

@@ -18,7 +18,6 @@ from .poset import (
     connected_ideals,
     ideal_key,
     members,
-    popcount,
     trivially_intersecting,
 )
 
@@ -91,7 +90,7 @@ def _max_cliques(adj, nv):
         pivot_pool = p | x
         pivot = max(
             (i for i in range(nv) if pivot_pool >> i & 1),
-            key=lambda i: popcount(p & adj[i]),
+            key=lambda i: (p & adj[i]).bit_count(),
         )
         candidates = p & ~adj[pivot]
         for i in range(nv):

@@ -131,7 +131,6 @@ def enumerate_partitions(P: Poset, flavor: str, max_total: int):
     # Assign values top-down along a reversed linear extension so each
     # element sees the constraints from its upper covers.
     order = list(reversed(lex_min_extension(P)))
-    uppers = {p: [b for a, b in P.covers if a == p] for p in range(1, P.n + 1)}
     f = [0] * P.n
     out = []
 
@@ -141,7 +140,7 @@ def enumerate_partitions(P: Poset, flavor: str, max_total: int):
             return
         p = order[idx]
         lo = 0
-        for b in uppers[p]:
+        for b in P.upper_covers[p]:
             need = f[b - 1]
             if flavor == STRICT or (flavor == STANDARD and p > b):
                 need += 1
@@ -169,16 +168,11 @@ class DeltaData:
     maj_p: int | None
 
 
-def _reverse_topological(P: Poset) -> list[int]:
-    return list(reversed(lex_min_extension(P)))
-
-
 def delta_data(P: Poset) -> DeltaData:
     delta = [0] * (P.n + 1)
     agree = True
-    uppers = {p: [b for a, b in P.covers if a == p] for p in range(1, P.n + 1)}
-    for p in _reverse_topological(P):
-        vals = [delta[b] + (1 if p > b else 0) for b in uppers[p]]
+    for p in reversed(lex_min_extension(P)):
+        vals = [delta[b] + (1 if p > b else 0) for b in P.upper_covers[p]]
         if vals:
             delta[p] = max(vals)
             if min(vals) != max(vals):
@@ -209,9 +203,8 @@ def stanley_delta_chain(P: Poset) -> bool:
     """True iff for every element all maximal chains above it have equal
     length."""
     height = [0] * (P.n + 1)
-    uppers = {p: [b for a, b in P.covers if a == p] for p in range(1, P.n + 1)}
-    for p in _reverse_topological(P):
-        vals = [height[b] + 1 for b in uppers[p]]
+    for p in reversed(lex_min_extension(P)):
+        vals = [height[b] + 1 for b in P.upper_covers[p]]
         if vals:
             if min(vals) != max(vals):
                 return False

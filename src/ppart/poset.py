@@ -34,17 +34,17 @@ def members(mask: int) -> list[int]:
     return out
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def ideal_key(mask: int) -> tuple[int, int]:
     """Canonical sort key for ideal sets: cardinality, then mask value."""
     return (mask.bit_count(), mask)
 
 
 class Poset:
-    """A partial order on {1..n}, stored via covers plus reachability masks."""
+    """A partial order on {1..n}, stored via covers plus reachability masks.
+
+    J_conn and the default classification are computed on first use and
+    kept on the instance (see connected_ideals and structure.classify).
+    """
 
     def __init__(self, n: int, relations=()):
         if not 1 <= n <= MAX_ELEMENTS:
@@ -71,19 +71,22 @@ class Poset:
         for a in range(1, n + 1):
             for b in members(strict[a]):
                 self._down_strict[b] |= 1 << (a - 1)
-        covers = set()
-        for a in range(1, n + 1):
-            for b in members(strict[a]):
-                between = strict[a] & self._down_strict[b]
-                if not between:
-                    covers.add((a, b))
-        self.covers = frozenset(covers)
+        # upper_covers[a] = sorted elements covering a (index 0 unused).
+        self.upper_covers = tuple(
+            tuple(b for b in members(strict[a]) if not strict[a] & self._down_strict[b])
+            for a in range(n + 1)
+        )
+        self.covers = frozenset(
+            (a, b) for a in range(1, n + 1) for b in self.upper_covers[a]
+        )
         # Undirected Hasse adjacency, for component computations.
         self._adj = [0] * (n + 1)
-        for a, b in covers:
+        for a, b in self.covers:
             self._adj[a] |= 1 << (b - 1)
             self._adj[b] |= 1 << (a - 1)
         self.full_mask = (1 << n) - 1
+        self._jconn = None
+        self._classification = None
 
     # -- comparabilities ------------------------------------------------
 
@@ -228,10 +231,14 @@ def iter_ideals(P: Poset):
 
 
 def connected_ideals(P: Poset) -> list[int]:
-    """All nonempty connected order ideals, sorted by (size, mask)."""
-    out = [J for J in iter_ideals(P) if J and len(hasse_components(P, J)) == 1]
-    out.sort(key=ideal_key)
-    return out
+    """All nonempty connected order ideals, sorted by (size, mask).
+
+    J(P) is walked once per Poset object; each call returns a new list.
+    """
+    if P._jconn is None:
+        conn = [J for J in iter_ideals(P) if J and len(hasse_components(P, J)) == 1]
+        P._jconn = tuple(sorted(conn, key=ideal_key))
+    return list(P._jconn)
 
 
 def principal_ideal(P: Poset, p: int) -> int:
@@ -260,18 +267,21 @@ def trivially_intersecting(j1: int, j2: int) -> bool:
     return inter == 0 or inter == j1 or inter == j2
 
 
-def nontrivial_pairs(P: Poset, conn=None) -> list[PiPair]:
+def nontrivial_pairs(P: Poset) -> list[PiPair]:
     """The set Pi(P): unordered pairs of connected ideals that are
-    neither disjoint nor nested, with union/intersection data filled."""
-    if conn is None:
-        conn = connected_ideals(P)
-    pairs = []
-    for j1, j2 in itertools.combinations(conn, 2):
-        if not trivially_intersecting(j1, j2):
-            comps = tuple(hasse_components(P, j1 & j2))
-            pairs.append(PiPair(j1, j2, j1 | j2, comps))
-    pairs.sort(key=lambda pr: (ideal_key(pr.j1), ideal_key(pr.j2)))
-    return pairs
+    neither disjoint nor nested, with union/intersection data filled,
+    ordered by (ideal_key(j1), ideal_key(j2))."""
+    return pairs_among(P, connected_ideals(P))
+
+
+def pairs_among(P: Poset, conn) -> list[PiPair]:
+    """The pairs of Pi(P) with both members in conn, a list of connected
+    ideals sorted by ideal_key (so j1 precedes j2 in every pair)."""
+    return [
+        PiPair(j1, j2, j1 | j2, tuple(hasse_components(P, j1 & j2)))
+        for j1, j2 in itertools.combinations(conn, 2)
+        if not trivially_intersecting(j1, j2)
+    ]
 
 
 # -- labelling ----------------------------------------------------------

@@ -14,10 +14,8 @@ from .poset import (
     Poset,
     PiPair,
     connected_ideals,
-    ideal_key,
     members,
     nontrivial_pairs,
-    popcount,
 )
 
 TORIC = "toric"
@@ -34,6 +32,15 @@ def var_name(mask: int, wide: bool) -> str:
     return "U" + "".join(str(p) for p in elems)
 
 
+def _m2_var_name(mask: int, wide: bool) -> str:
+    """var_name for Macaulay2, where underscores mean indexing: wide names
+    glue their labels with "x"."""
+    elems = members(mask)
+    if wide:
+        return "U" + "x".join(str(p) for p in elems)
+    return "U" + "".join(str(p) for p in elems)
+
+
 @dataclass(frozen=True)
 class SyzGenerator:
     """One relation per nontrivially-intersecting pair of connected ideals.
@@ -47,11 +54,12 @@ class SyzGenerator:
     lhs: tuple[int, ...]
     rhs: tuple[int, ...]
 
-    def render(self, wide: bool) -> str:
-        left = "*".join(var_name(m, wide) for m in self.lhs)
+    def render(self, wide: bool, name=var_name) -> str:
+        """'lhs - rhs' (or the bare monomial), variables named by name."""
+        left = "*".join(name(m, wide) for m in self.lhs)
         if not self.rhs:
             return left
-        right = "*".join(var_name(m, wide) for m in self.rhs)
+        right = "*".join(name(m, wide) for m in self.rhs)
         return f"{left} - {right}"
 
 
@@ -147,8 +155,7 @@ def export(P: Poset, format: str = "text") -> str:
 
 def _export_text(P: Poset) -> str:
     wide = P.n > 9
-    conn = connected_ideals(P)
-    lines = ["S = k[" + ", ".join(var_name(J, wide) for J in conn) + "]"]
+    lines = ["S = k[" + ", ".join(var_name(J, wide) for J in connected_ideals(P)) + "]"]
     for label, gens in (
         ("toric", toric_generators(P)),
         ("graded", graded_generators(P)),
@@ -162,31 +169,14 @@ def _export_text(P: Poset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _m2_name(mask: int, wide: bool) -> str:
-    # Underscores mean indexing in Macaulay2; glue wide names with "x".
-    elems = members(mask)
-    if wide:
-        return "U" + "x".join(str(p) for p in elems)
-    return "U" + "".join(str(p) for p in elems)
-
-
 def _export_m2(P: Poset) -> str:
     wide = P.n > 9
-    conn = connected_ideals(P)
-    names = [_m2_name(J, wide) for J in conn]
+    names = [_m2_var_name(J, wide) for J in connected_ideals(P)]
 
     def body(gens):
         if not gens:
             return "ideal(0_S)"
-        rendered = []
-        for g in gens:
-            left = "*".join(_m2_name(m, wide) for m in g.lhs)
-            if g.rhs:
-                right = "*".join(_m2_name(m, wide) for m in g.rhs)
-                rendered.append(f"{left} - {right}")
-            else:
-                rendered.append(left)
-        return "ideal(" + ", ".join(rendered) + ")"
+        return "ideal(" + ", ".join(g.render(wide, _m2_var_name) for g in gens) + ")"
 
     lines = [
         "-- presentation data for a labelled poset on "

@@ -26,7 +26,6 @@ from .poset import (
     is_naturally_labelled,
     members,
     nontrivial_pairs,
-    popcount,
     trivially_intersecting,
 )
 from .qpoly import QPolynomial, q_factorial, q_int
@@ -262,24 +261,15 @@ def _vector_key(grading: str, f, v):
     return (v, ())
 
 
-def _ideal_key_exps(grading: str, P: Poset, mask: int):
-    """Exponents contributed by a single ideal indicator vector."""
-    if grading in ("x", "tx"):
-        return tuple(1 if mask >> (p - 1) & 1 else 0 for p in range(1, P.n + 1))
-    if grading in ("q", "tq"):
-        return (popcount(mask),)
-    return ()
-
-
 # -- trivially-intersecting multisets -----------------------------------
 
 
-def _iter_trivial_multisets(P: Poset, conn, max_size, weight_bound=None):
+def _iter_trivial_multisets(P: Poset, max_size, weight_bound=None):
     """Multisets of pairwise trivially-intersecting connected ideals with
     at most max_size members (and, optionally, total weight bound).
 
     Yields lists of (ideal mask, multiplicity)."""
-    order = list(conn)
+    order = connected_ideals(P)
 
     def rec(idx, size, weight, chosen):
         yield list(chosen)
@@ -287,7 +277,7 @@ def _iter_trivial_multisets(P: Poset, conn, max_size, weight_bound=None):
             J = order[i]
             if any(not trivially_intersecting(J, K) for K, _ in chosen):
                 continue
-            w = popcount(J)
+            w = J.bit_count()
             m = 1
             while size + m <= max_size and (
                 weight_bound is None or weight + m * w <= weight_bound
@@ -313,16 +303,11 @@ def initial_quotient_hilbert(P: Poset, grading: str, N: int) -> TruncSeries:
     trivially-intersecting multisets of connected ideals by total weight."""
     g = normalize_grading(grading)
     out = _series_shape(P, g, N)
-    conn = connected_ideals(P)
-    if g == "t":
-        for ms in _iter_trivial_multisets(P, conn, N):
-            t, xs = _vector_key(g, _multiset_vector(P, ms), sum(m for _, m in ms))
-            out.add_term(t, xs, 1)
-    else:
-        for ms in _iter_trivial_multisets(P, conn, N, weight_bound=N):
-            f = _multiset_vector(P, ms)
-            t, xs = _vector_key(g, f, sum(m for _, m in ms))
-            out.add_term(t, xs, 1)
+    # The t grading truncates by multiset size, the others by weight.
+    bound = None if g == "t" else N
+    for ms in _iter_trivial_multisets(P, N, weight_bound=bound):
+        t, xs = _vector_key(g, _multiset_vector(P, ms), sum(m for _, m in ms))
+        out.add_term(t, xs, 1)
     return out
 
 
@@ -338,8 +323,7 @@ def hilbert_truncated(P: Poset, flavor: str, grading: str, N: int) -> TruncSerie
         # Enumerating by |f| is hopeless here; walk the multisets of
         # pairwise trivially-intersecting connected ideals instead (each
         # weak vector arises from exactly one) and filter by flavor.
-        conn = connected_ideals(P)
-        for ms in _iter_trivial_multisets(P, conn, N):
+        for ms in _iter_trivial_multisets(P, N):
             f = _multiset_vector(P, ms)
             if flavor != WEAK and not satisfies(P, f, flavor):
                 continue
@@ -367,13 +351,13 @@ def rational_sum_truncated(P: Poset, grading: str, N: int,
         for i in range(1, P.n + 1):
             prefix = ext.prefix_mask(i)
             c = len(hasse_components(P, prefix))
-            exps = _ideal_key_exps(g, P, prefix)
+            t, xs = _vector_key(g, _multiset_vector(P, ((prefix, 1),)), c)
             factor = out.one_like()
-            factor.add_term(c if out.has_t else 0, exps, -1)
+            factor.add_term(t, xs, -1)
             term = term * factor.inverse()
             if i in descents:
                 numer = out._like()
-                numer.add_term(c if out.has_t else 0, exps, 1)
+                numer.add_term(t, xs, 1)
                 term = term * numer
         out = out + term
     return out
@@ -392,7 +376,7 @@ def numerator_polynomial(P: Poset, N: int = DEFAULT_TRUNC) -> TruncSeries:
 
     if isinstance(classify(P), BuildRecipe):
         need = sum(
-            popcount(pr.j1) + popcount(pr.j2) for pr in nontrivial_pairs(P)
+            pr.j1.bit_count() + pr.j2.bit_count() for pr in nontrivial_pairs(P)
         )
         if N < need:
             raise InstabilityError(
@@ -412,7 +396,7 @@ def _numerator_at(P: Poset, N: int) -> TruncSeries:
     out = h
     for J in connected_ideals(P):
         factor = h.one_like()
-        factor.add_term(1, _ideal_key_exps("tx", P, J), -1)
+        factor.add_term(*_vector_key("tx", _multiset_vector(P, ((J, 1),)), 1), -1)
         out = out * factor
     return out
 
@@ -423,28 +407,26 @@ def hook_formula(P: Poset, cap: int = DEFAULT_CAP) -> QPolynomial:
     if not is_naturally_labelled(P):
         raise LabelError("the q hook formula needs a natural labelling")
     _require_fwd(P)
-    conn = connected_ideals(P)
     numer = q_factorial(P.n)
-    for pr in nontrivial_pairs(P, conn):
-        numer = numer * q_int(popcount(pr.j1) + popcount(pr.j2))
+    for pr in nontrivial_pairs(P):
+        numer = numer * q_int(pr.j1.bit_count() + pr.j2.bit_count())
     out = numer
-    for J in conn:
-        out = out.exact_div(q_int(popcount(J)))
+    for J in connected_ideals(P):
+        out = out.exact_div(q_int(J.bit_count()))
     return out
 
 
 def hook_count(P: Poset) -> int:
     """n! * prod(|J1|+|J2|) / prod|J| as an exact integer (any labelling)."""
     _require_fwd(P)
-    conn = connected_ideals(P)
     import math
 
     numer = math.factorial(P.n)
-    for pr in nontrivial_pairs(P, conn):
-        numer *= popcount(pr.j1) + popcount(pr.j2)
+    for pr in nontrivial_pairs(P):
+        numer *= pr.j1.bit_count() + pr.j2.bit_count()
     denom = 1
-    for J in conn:
-        denom *= popcount(J)
+    for J in connected_ideals(P):
+        denom *= J.bit_count()
     if numer % denom:
         raise AssertionError("hook count is not an integer")
     return numer // denom
@@ -470,17 +452,14 @@ def duplication_product(P: Poset, classification, grading: str,
     g = normalize_grading(grading)
     out = _series_shape(P, g, N)
     out.add_term(0, (0,) * out.nx, 1)
-    conn = connected_ideals(P)
-    for pr in nontrivial_pairs(P, conn):
-        e1 = _ideal_key_exps(g, P, pr.j1)
-        e2 = _ideal_key_exps(g, P, pr.j2)
+    for pr in nontrivial_pairs(P):
         factor = out.one_like()
-        factor.add_term(2 if out.has_t else 0,
-                        tuple(a + b for a, b in zip(e1, e2)), -1)
+        f = _multiset_vector(P, ((pr.j1, 1), (pr.j2, 1)))
+        factor.add_term(*_vector_key(g, f, 2), -1)
         out = out * factor
-    for J in conn:
+    for J in connected_ideals(P):
         factor = out.one_like()
-        factor.add_term(1 if out.has_t else 0, _ideal_key_exps(g, P, J), -1)
+        factor.add_term(*_vector_key(g, _multiset_vector(P, ((J, 1),)), 1), -1)
         out = out * factor.inverse()
     return out
 

@@ -20,6 +20,7 @@ from .poset import (
     induced_occurrences,
     members,
     nontrivial_pairs,
+    pairs_among,
     principal_ideal,
 )
 
@@ -195,17 +196,16 @@ def nearly_principal(P: Poset, J: int) -> bool:
     return True
 
 
-def pi_fiber(P: Poset, J: int, pairs=None) -> list[PiPair]:
-    """Nontrivially-intersecting pairs of connected ideals with union J."""
-    if pairs is None:
-        pairs = nontrivial_pairs(P)
-    return [pr for pr in pairs if pr.union == J]
+def pi_fiber(P: Poset, J: int) -> list[PiPair]:
+    """Nontrivially-intersecting pairs of connected ideals with union J,
+    in Pi order.  Both members of such a pair lie inside J, so only the
+    connected ideals inside J are paired."""
+    inside = [K for K in connected_ideals(P) if not K & ~J]
+    return [pr for pr in pairs_among(P, inside) if pr.union == J]
 
 
-def _find_bad_ideal(P: Poset, conn=None):
-    if conn is None:
-        conn = connected_ideals(P)
-    for J in conn:
+def _find_bad_ideal(P: Poset):
+    for J in connected_ideals(P):
         if not is_principal(P, J) and not nearly_principal(P, J):
             return J
     return None
@@ -218,57 +218,40 @@ def ci_test_ideals(P: Poset) -> bool:
 
 def ci_test_counts(P: Poset) -> bool:
     """True iff |J_conn(P)| - |Pi(P)| = n."""
-    conn = connected_ideals(P)
-    return len(conn) - len(nontrivial_pairs(P, conn)) == P.n
+    return len(connected_ideals(P)) - len(nontrivial_pairs(P)) == P.n
 
 
 def forbidden_scan(P: Poset):
     """First induced occurrence of a forbidden 4/5-element pattern, as
-    (name, embedding), or None.  Occurrences that differ only by an
-    automorphism of the pattern are deduplicated."""
+    (name, embedding), or None."""
     from .fixtures import FORB1, FORB2, FORB3
 
     for name, Q in (("forb1", FORB1), ("forb2", FORB2), ("forb3", FORB3)):
-        seen = set()
-        for emb in induced_occurrences(P, Q):
-            image = frozenset(emb)
-            if image in seen:
-                continue
-            seen.add(image)
-            return (name, emb)
+        occurrences = induced_occurrences(P, Q)
+        if occurrences:
+            return (name, occurrences[0])
     return None
 
 
 # -- classification -----------------------------------------------------
 
 
-def _induced_components(P: Poset, mask: int) -> list[int]:
-    """Connected components of the induced subposet (comparability graph)."""
-    comps = []
-    remaining = mask
-    while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            grown = comp
-            for p in members(frontier):
-                grown |= (P.up_strict(p) | P.down_strict(p)) & mask
-            frontier = grown & ~comp
-            comp = grown
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
-
-
 def classify(P: Poset, choose=min):
     """Decompose P as a forest with duplications, or return a Witness.
 
     choose picks among candidate elements (smallest label by default);
-    any choice must yield the same duplication set.
+    any choice must yield the same duplication set.  The default-choice
+    result is computed once per Poset object.
     """
-    conn = connected_ideals(P)
-    bad = _find_bad_ideal(P, conn)
+    if choose is not min:
+        return _classify(P, choose)
+    if P._classification is None:
+        P._classification = _classify(P, min)
+    return P._classification
+
+
+def _classify(P: Poset, choose):
+    bad = _find_bad_ideal(P)
     if bad is not None:
         fiber = pi_fiber(P, bad)
         if len(fiber) == 1:
@@ -282,9 +265,10 @@ def classify(P: Poset, choose=min):
         elems = members(mask)
         if len(elems) == 1:
             return Leaf(elems[0])
-        comps = _induced_components(P, mask)
+        # build only sees convex sets, where the cover graph and the
+        # comparability graph have the same components.
+        comps = hasse_components(P, mask)
         if len(comps) > 1:
-            comps.sort(key=lambda c: c & -c)
             return DisjointUnion(tuple(build(c) for c in comps))
         nonmin = [p for p in elems if P.down_strict(p) & mask]
         a = choose(nonmin)
@@ -348,9 +332,7 @@ def lemma41_predictions(P: Poset, recipe: BuildRecipe) -> StructureReport:
         predicted.add(ja | ja2)
         pred_pairs.add(tuple(sorted((ja, ja2), key=ideal_key)))
     actual = tuple(connected_ideals(P))
-    actual_pairs = tuple(
-        (pr.j1, pr.j2) for pr in nontrivial_pairs(P, list(actual))
-    )
+    actual_pairs = tuple((pr.j1, pr.j2) for pr in nontrivial_pairs(P))
     pred_ideals = tuple(sorted(predicted, key=ideal_key))
     pred_pair_t = tuple(sorted(pred_pairs, key=lambda t: (ideal_key(t[0]), ideal_key(t[1]))))
     match = pred_ideals == actual and pred_pair_t == actual_pairs

@@ -65,7 +65,7 @@ def test_criterion_1_fig1_regression():
         sorted(bin(J).count("1") for J in conn) == [1, 1, 1, 1, 2, 3, 4, 7, 7, 8],
         "connected ideal sizes",
     )
-    pairs = nontrivial_pairs(FIG1, conn)
+    pairs = nontrivial_pairs(FIG1)
     sums = [bin(p.j1).count("1") + bin(p.j2).count("1") for p in pairs]
     _check(failures, sums == [5, 14], "pair size sums")
     _check(failures, count_extensions(FIG1) == 300, "extension count")

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cli_golden import FIXTURES, GOLDEN, capture, case_name, iter_cases, run_cli
+from ppart.cli import main
 
 EX33 = str(FIXTURES / "ex33.poset")
 FIG1 = str(FIXTURES / "fig1.poset")
@@ -34,6 +35,32 @@ class TestExitCodes:
     def test_cap_exceeded(self):
         code, _ = run_cli(["extensions", FIG1, "--cap", "10"])
         assert code == 4
+
+    @staticmethod
+    def _assert_input_error(argv, capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_non_utf8_input(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.poset"
+        bad.write_bytes(b"n 2\n# caf\xe9\n1 2\n")
+        self._assert_input_error(["analyze", str(bad)], capsys)
+
+    def test_out_is_a_directory(self, tmp_path, capsys):
+        self._assert_input_error(["presentation", EX33, "--out", str(tmp_path)], capsys)
+
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "ring.m2"
+        self._assert_input_error(["presentation", EX33, "--out", str(target)], capsys)
+
+    @pytest.mark.parametrize("flag", ["--trunc", "--cap", "--complex-cap"])
+    def test_negative_count(self, flag):
+        code, out = run_cli(["hilbert", P2, flag, "-1"])
+        assert code == 1
+        assert out == ""
 
 
 class TestPayloads:

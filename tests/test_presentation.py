@@ -150,6 +150,16 @@ class TestExport:
         assert var_name(P.full_mask & 0b1000000001, True) == "U_1_10"
         assert "U_1_10" in export(P, "text")
 
+    def test_wide_m2_names(self):
+        # Macaulay2 reads "_" as indexing, so wide M2 names glue with "x"
+        P = Poset(10, [(1, 9), (1, 10), (2, 10)])
+        assert export(P, "m2").splitlines()[1:] == [
+            "S = QQ[U1, U2, U3, U4, U5, U6, U7, U8, U1x9, U1x2x10, U1x2x9x10];",
+            "Itoric = ideal(U1x9*U1x2x10 - U1x2x9x10*U1);",
+            "Igraded = ideal(U1x9*U1x2x10 - U1x2x9x10*U1);",
+            "Iinitial = ideal(U1x9*U1x2x10);",
+        ]
+
     def test_m2_golden(self):
         import pathlib
 

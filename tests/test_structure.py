@@ -11,11 +11,13 @@ from ppart import (
     ci_test_ideals,
     classify,
     connected_ideals,
+    enumerate_posets,
     forbidden_scan,
     hasse_components,
     lemma41_predictions,
     mask_of,
     nearly_principal,
+    nontrivial_pairs,
     pi_fiber,
     principal_ideal,
     recipe_poset,
@@ -220,3 +222,44 @@ class TestWitnessRecheck:
             assert not nearly_principal(P, J)
             for j1, j2 in w.decompositions:
                 assert j1 | j2 == J
+
+
+class TestPerPosetFacts:
+    def test_pi_fiber_is_the_union_filter_of_pi(self, posets3, posets4, posets5):
+        small = [P for n in (1, 2) for P in enumerate_posets(n)]
+        for P in small + posets3 + posets4 + posets5 + random_posets(
+            77, 100, (6, 7)
+        ):
+            pairs = nontrivial_pairs(P)
+            for J in connected_ideals(P):
+                assert pi_fiber(P, J) == [pr for pr in pairs if pr.union == J]
+
+    def test_connected_ideals_returns_a_new_list(self):
+        P = Poset(3, [(1, 2), (1, 3)])
+        for _ in range(3):
+            conn = connected_ideals(P)
+            assert conn == [msk(1), msk(1, 2), msk(1, 3), msk(1, 2, 3)]
+            conn.reverse()
+            conn.append(0)
+
+    def test_classify_is_computed_once(self):
+        for Q in (FIG1, EX33):
+            P = Poset(Q.n, Q.covers)
+            assert classify(P) is classify(P)
+
+    def test_custom_choose_bypasses_the_cache(self):
+        calls = []
+
+        def choose(options):
+            calls.append(options)
+            return max(options)
+
+        P = Poset(FIG1.n, FIG1.covers)
+        custom = classify(P, choose=choose)
+        base = classify(P)
+        assert base is not custom  # the custom result was not stored
+        calls.clear()
+        again = classify(P, choose=choose)
+        assert calls and again is not base  # nor is the stored one read
+        assert again.duplication_set == base.duplication_set
+        assert classify(P) is base
