@@ -218,12 +218,11 @@ def _cmd_selftest(P, args):
         if not is_naturally_labelled(P):
             return True
         mp = maj_polynomial(P, cap=args.cap)
-        h = hilbert_truncated(P, STANDARD, "q", mp.degree + P.n)
+        # Only degrees <= mp.degree of the product are compared.
+        h = hilbert_truncated(P, STANDARD, "q", mp.degree)
         prod = h.one_like()
         for i in range(1, P.n + 1):
-            factor = h.one_like()
-            factor.add_term(0, (i,), -1)
-            prod = prod * factor
+            prod = prod * h.one_minus(0, (i,))
         lhs = prod * h
         return all(lhs.coeffs.get((0, (d,)), 0) == mp[d] for d in range(mp.degree + 1))
 

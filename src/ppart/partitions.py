@@ -73,11 +73,17 @@ class ConnDecomposition:
     nu: int
 
     def as_vector(self, n: int) -> tuple[int, ...]:
-        f = [0] * n
-        for mask, mult in self.parts:
-            for p in members(mask):
-                f[p - 1] += mult
-        return tuple(f)
+        return _multiset_vector(n, self.parts)
+
+
+def _multiset_vector(n: int, parts) -> tuple[int, ...]:
+    """The value vector sum of mult * indicator(mask) over the
+    (ideal mask, multiplicity) pairs of a multiset."""
+    f = [0] * n
+    for mask, mult in parts:
+        for p in members(mask):
+            f[p - 1] += mult
+    return tuple(f)
 
 
 def connected_decomposition(P: Poset, f) -> ConnDecomposition:

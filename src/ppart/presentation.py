@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .extensions import DEFAULT_CAP, linear_extensions
-from .partitions import delta_data
+from .partitions import _multiset_vector, delta_data
 from .poset import (
     Poset,
     PiPair,
@@ -97,11 +97,7 @@ def verify_vanishing(P: Poset, gens) -> bool:
     """Substitute U_J -> indicator exponent of J and check that both
     monomials of every binomial get the same multidegree."""
     def total(masks):
-        f = [0] * P.n
-        for m in masks:
-            for p in members(m):
-                f[p - 1] += 1
-        return tuple(f)
+        return _multiset_vector(P.n, [(m, 1) for m in masks])
 
     return all(not g.rhs or total(g.lhs) == total(g.rhs) for g in gens)
 

@@ -1,20 +1,26 @@
 """Truncated generating functions over the integers.
 
 Everything here is exact: series are stored sparsely as maps from
-exponent vectors to integer coefficients, truncated by total degree in
-the x variables (or in t for the pure t grading, where collapsing the x
-variables first would make individual factors divergent).
+exponent vectors to integer coefficients.  A series with x variables is
+truncated by total x degree; one without (the pure t grading, where
+collapsing the x variables first would make individual factors
+divergent) is truncated by t degree.
 
 Gradings accepted everywhere: "x-multi" (alias "x"), "(t,x)" ("tx"),
-"(t,q)" ("tq"), "q", and "t".
+"(t,q)" ("tq"), "q", and "t".  `_GRADINGS` gives the shape of each
+grading's series, and `_graded` is the one place that turns a value
+vector into a monomial of that shape.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import ArgError, InstabilityError, LabelError, NotFWDError
 from .extensions import DEFAULT_CAP, linear_extensions
 from .partitions import (
     WEAK,
+    _multiset_vector,
     connected_decomposition,
     enumerate_partitions,
     satisfies,
@@ -24,7 +30,6 @@ from .poset import (
     connected_ideals,
     hasse_components,
     is_naturally_labelled,
-    members,
     nontrivial_pairs,
     trivially_intersecting,
 )
@@ -32,43 +37,39 @@ from .qpoly import QPolynomial, q_factorial, q_int
 
 DEFAULT_TRUNC = 12
 
+# Canonical grading -> (has a t variable, x variable names), where None
+# means one x variable per element of the poset.
 _GRADINGS = {
-    "x-multi": "x",
-    "x": "x",
-    "(t,x)": "tx",
-    "tx": "tx",
-    "t,x": "tx",
-    "(t,q)": "tq",
-    "tq": "tq",
-    "t,q": "tq",
-    "q": "q",
-    "t": "t",
+    "x": (False, None),
+    "tx": (True, None),
+    "q": (False, ("q",)),
+    "tq": (True, ("q",)),
+    "t": (True, ()),
 }
+_ALIASES = {"x-multi": "x", "(t,x)": "tx", "t,x": "tx", "(t,q)": "tq", "t,q": "tq"}
 
 
 def normalize_grading(grading: str) -> str:
-    try:
-        return _GRADINGS[grading.lower()]
-    except KeyError:
-        raise ArgError(f"unknown grading {grading!r}") from None
+    g = grading.lower()
+    g = _ALIASES.get(g, g)
+    if g not in _GRADINGS:
+        raise ArgError(f"unknown grading {grading!r}")
+    return g
 
 
 class TruncSeries:
     """Sparse integer series in t and x1..xnx, truncated by total degree.
 
-    trunc_on selects whether the truncation bound applies to the x total
-    degree (the usual case) or to the t degree (pure t grading).
+    The truncation bound applies to the total x degree when there are x
+    variables (nx > 0), and to the t degree when there are none.
     """
 
-    __slots__ = ("nx", "has_t", "trunc", "trunc_on", "coeffs", "xnames")
+    __slots__ = ("nx", "has_t", "trunc", "coeffs", "xnames")
 
-    def __init__(self, nx, trunc, has_t=True, trunc_on="x", coeffs=None, xnames=None):
-        if trunc_on not in ("x", "t"):
-            raise ArgError(f"bad trunc_on {trunc_on!r}")
+    def __init__(self, nx, trunc, has_t=True, coeffs=None, xnames=None):
         self.nx = nx
         self.trunc = trunc
         self.has_t = has_t
-        self.trunc_on = trunc_on
         self.xnames = tuple(xnames) if xnames else tuple(f"x{i+1}" for i in range(nx))
         self.coeffs = {}
         if coeffs:
@@ -76,7 +77,7 @@ class TruncSeries:
                 self.add_term(key[0], key[1], c)
 
     def _deg(self, t, xs):
-        return sum(xs) if self.trunc_on == "x" else t
+        return sum(xs) if self.nx else t
 
     def add_term(self, t, xs, coeff):
         xs = tuple(xs)
@@ -94,29 +95,26 @@ class TruncSeries:
             del self.coeffs[key]
 
     def _like(self):
-        return TruncSeries(self.nx, self.trunc, self.has_t, self.trunc_on,
-                           xnames=self.xnames)
+        return TruncSeries(self.nx, self.trunc, self.has_t, xnames=self.xnames)
 
     def copy(self):
         out = self._like()
         out.coeffs = dict(self.coeffs)
         return out
 
-    @classmethod
-    def constant(cls, value, nx, trunc, has_t=True, trunc_on="x", xnames=None):
-        s = cls(nx, trunc, has_t, trunc_on, xnames=xnames)
-        if value:
-            s.coeffs[(0, (0,) * nx)] = value
-        return s
-
     def one_like(self):
-        return TruncSeries.constant(1, self.nx, self.trunc, self.has_t,
-                                    self.trunc_on, self.xnames)
+        out = self._like()
+        out.coeffs[(0, (0,) * self.nx)] = 1
+        return out
+
+    def one_minus(self, t, xs):
+        """1 - t^t x^xs, shaped like this series."""
+        out = self.one_like()
+        out.add_term(t, xs, -1)
+        return out
 
     def _compatible(self, other):
-        if (self.nx, self.has_t, self.trunc, self.trunc_on) != (
-            other.nx, other.has_t, other.trunc, other.trunc_on
-        ):
+        if (self.nx, self.has_t, self.trunc) != (other.nx, other.has_t, other.trunc):
             raise ArgError("series have incompatible shapes")
 
     def __add__(self, other):
@@ -198,7 +196,7 @@ class TruncSeries:
         return {
             "variables": list(variables),
             "trunc": self.trunc,
-            "trunc_on": self.trunc_on,
+            "trunc_on": "x" if self.nx else "t",
             "terms": [[t, list(xs), c] for t, xs, c in self.terms()],
         }
 
@@ -235,80 +233,69 @@ class TruncSeries:
 # -- grading plumbing ---------------------------------------------------
 
 
-def _series_shape(P: Poset, grading: str, N: int):
-    g = normalize_grading(grading)
-    if g == "x":
-        return TruncSeries(P.n, N, has_t=False)
-    if g == "tx":
-        return TruncSeries(P.n, N, has_t=True)
-    if g == "q":
-        return TruncSeries(1, N, has_t=False, xnames=("q",))
-    if g == "tq":
-        return TruncSeries(1, N, has_t=True, xnames=("q",))
-    return TruncSeries(0, N, has_t=True, trunc_on="t")
+def _graded(P: Poset, grading: str, N: int):
+    """The empty series of a grading, truncated at N, and its key
+    (f, nu) -> (t exponent, x exponents) for a value vector f with nu(f) = nu."""
+    has_t, xnames = _GRADINGS[normalize_grading(grading)]
+    nx = P.n if xnames is None else len(xnames)
+    out = TruncSeries(nx, N, has_t, xnames=xnames)
 
+    def key(f, nu):
+        if xnames is None:
+            xs = tuple(f)
+        elif xnames:
+            xs = (sum(f),)  # a single q keeps |f|
+        else:
+            xs = ()  # the pure t grading keeps no x exponent
+        return (nu if has_t else 0, xs)
 
-def _vector_key(grading: str, f, v):
-    """(t exponent, x exponents) for a value vector f with nu = v."""
-    if grading == "x":
-        return (0, tuple(f))
-    if grading == "tx":
-        return (v, tuple(f))
-    if grading == "q":
-        return (0, (sum(f),))
-    if grading == "tq":
-        return (v, (sum(f),))
-    return (v, ())
+    return out, key
 
 
 # -- trivially-intersecting multisets -----------------------------------
 
 
-def _iter_trivial_multisets(P: Poset, max_size, weight_bound=None):
-    """Multisets of pairwise trivially-intersecting connected ideals with
-    at most max_size members (and, optionally, total weight bound).
+def _iter_trivial_multisets(P: Poset, N: int, weighted: bool):
+    """Multisets of pairwise trivially-intersecting connected ideals of
+    total degree at most N, an ideal's degree being its size when
+    weighted and 1 otherwise.
 
     Yields lists of (ideal mask, multiplicity)."""
     order = connected_ideals(P)
 
-    def rec(idx, size, weight, chosen):
+    def rec(idx, budget, chosen):
         yield list(chosen)
         for i in range(idx, len(order)):
             J = order[i]
-            if any(not trivially_intersecting(J, K) for K, _ in chosen):
+            w = J.bit_count() if weighted else 1
+            if w > budget or any(not trivially_intersecting(J, K) for K, _ in chosen):
                 continue
-            w = J.bit_count()
-            m = 1
-            while size + m <= max_size and (
-                weight_bound is None or weight + m * w <= weight_bound
-            ):
+            for m in range(1, budget // w + 1):
                 chosen.append((J, m))
-                yield from rec(i + 1, size + m, weight + m * w, chosen)
+                yield from rec(i + 1, budget - m * w, chosen)
                 chosen.pop()
-                m += 1
 
-    yield from rec(0, 0, 0, [])
+    yield from rec(0, N, [])
 
 
-def _multiset_vector(P: Poset, multiset):
-    f = [0] * P.n
-    for mask, mult in multiset:
-        for p in members(mask):
-            f[p - 1] += mult
-    return tuple(f)
+def _multiset_series(P: Poset, flavor: str, out: TruncSeries, key) -> TruncSeries:
+    """Add t^nu x^f to out for every trivially-intersecting multiset of
+    connected ideals up to out's truncation whose vector f has the flavor.
+
+    Each weak vector arises from exactly one multiset, of size nu(f), and
+    its total x degree is the multiset's weight."""
+    for ms in _iter_trivial_multisets(P, out.trunc, weighted=out.nx > 0):
+        f = _multiset_vector(P.n, ms)
+        if flavor == WEAK or satisfies(P, f, flavor):
+            t, xs = key(f, sum(m for _, m in ms))
+            out.add_term(t, xs, 1)
+    return out
 
 
 def initial_quotient_hilbert(P: Poset, grading: str, N: int) -> TruncSeries:
     """Hilbert series of the quotient by the initial ideal, counted as
     trivially-intersecting multisets of connected ideals by total weight."""
-    g = normalize_grading(grading)
-    out = _series_shape(P, g, N)
-    # The t grading truncates by multiset size, the others by weight.
-    bound = None if g == "t" else N
-    for ms in _iter_trivial_multisets(P, N, weight_bound=bound):
-        t, xs = _vector_key(g, _multiset_vector(P, ms), sum(m for _, m in ms))
-        out.add_term(t, xs, 1)
-    return out
+    return _multiset_series(P, WEAK, *_graded(P, grading, N))
 
 
 # -- the main operations ------------------------------------------------
@@ -317,21 +304,13 @@ def initial_quotient_hilbert(P: Poset, grading: str, N: int) -> TruncSeries:
 def hilbert_truncated(P: Poset, flavor: str, grading: str, N: int) -> TruncSeries:
     """Sum of t^nu(f) x^f over value vectors of the given flavor,
     truncated at total x degree N (or nu <= N for the pure t grading)."""
-    g = normalize_grading(grading)
-    out = _series_shape(P, g, N)
-    if g == "t":
-        # Enumerating by |f| is hopeless here; walk the multisets of
-        # pairwise trivially-intersecting connected ideals instead (each
-        # weak vector arises from exactly one) and filter by flavor.
-        for ms in _iter_trivial_multisets(P, N):
-            f = _multiset_vector(P, ms)
-            if flavor != WEAK and not satisfies(P, f, flavor):
-                continue
-            out.add_term(sum(m for _, m in ms), (), 1)
-        return out
+    out, key = _graded(P, grading, N)
+    if not out.nx:
+        # Enumerating by |f| is hopeless when only nu is bounded.
+        return _multiset_series(P, flavor, out, key)
     for f in enumerate_partitions(P, flavor, N):
-        v = connected_decomposition(P, f).nu if g in ("tx", "tq") else 0
-        t, xs = _vector_key(g, f, v)
+        nu = connected_decomposition(P, f).nu if out.has_t else 0
+        t, xs = key(f, nu)
         out.add_term(t, xs, 1)
     return out
 
@@ -343,18 +322,15 @@ def rational_sum_truncated(P: Poset, grading: str, N: int,
     expanded as a truncated series."""
     if not is_naturally_labelled(P):
         raise LabelError("rational sum needs a naturally labelled poset")
-    g = normalize_grading(grading)
-    out = _series_shape(P, g, N)
+    out, key = _graded(P, grading, N)
     for ext in linear_extensions(P, cap=cap):
         term = out.one_like()
         descents = set(ext.des_set)
         for i in range(1, P.n + 1):
             prefix = ext.prefix_mask(i)
             c = len(hasse_components(P, prefix))
-            t, xs = _vector_key(g, _multiset_vector(P, ((prefix, 1),)), c)
-            factor = out.one_like()
-            factor.add_term(t, xs, -1)
-            term = term * factor.inverse()
+            t, xs = key(_multiset_vector(P.n, ((prefix, 1),)), c)
+            term = term * out.one_minus(t, xs).inverse()
             if i in descents:
                 numer = out._like()
                 numer.add_term(t, xs, 1)
@@ -375,9 +351,7 @@ def numerator_polynomial(P: Poset, N: int = DEFAULT_TRUNC) -> TruncSeries:
     from .structure import BuildRecipe, classify
 
     if isinstance(classify(P), BuildRecipe):
-        need = sum(
-            pr.j1.bit_count() + pr.j2.bit_count() for pr in nontrivial_pairs(P)
-        )
+        need = sum(_hook_sizes(P)[0])
         if N < need:
             raise InstabilityError(
                 f"numerator has degree {need}, above truncation {N}"
@@ -393,12 +367,18 @@ def numerator_polynomial(P: Poset, N: int = DEFAULT_TRUNC) -> TruncSeries:
 
 def _numerator_at(P: Poset, N: int) -> TruncSeries:
     h = hilbert_truncated(P, WEAK, "tx", N)
+    _, key = _graded(P, "tx", N)
     out = h
     for J in connected_ideals(P):
-        factor = h.one_like()
-        factor.add_term(*_vector_key("tx", _multiset_vector(P, ((J, 1),)), 1), -1)
-        out = out * factor
+        out = out * h.one_minus(*key(_multiset_vector(P.n, ((J, 1),)), 1))
     return out
+
+
+def _hook_sizes(P: Poset):
+    """The sizes in the hook formula: |J1| + |J2| for each pair of Pi,
+    and |J| for each connected ideal."""
+    pairs = [pr.j1.bit_count() + pr.j2.bit_count() for pr in nontrivial_pairs(P)]
+    return pairs, [J.bit_count() for J in connected_ideals(P)]
 
 
 def hook_formula(P: Poset, cap: int = DEFAULT_CAP) -> QPolynomial:
@@ -407,26 +387,21 @@ def hook_formula(P: Poset, cap: int = DEFAULT_CAP) -> QPolynomial:
     if not is_naturally_labelled(P):
         raise LabelError("the q hook formula needs a natural labelling")
     _require_fwd(P)
-    numer = q_factorial(P.n)
-    for pr in nontrivial_pairs(P):
-        numer = numer * q_int(pr.j1.bit_count() + pr.j2.bit_count())
-    out = numer
-    for J in connected_ideals(P):
-        out = out.exact_div(q_int(J.bit_count()))
+    pairs, ideals = _hook_sizes(P)
+    out = q_factorial(P.n)
+    for size in pairs:
+        out = out * q_int(size)
+    for size in ideals:
+        out = out.exact_div(q_int(size))
     return out
 
 
 def hook_count(P: Poset) -> int:
     """n! * prod(|J1|+|J2|) / prod|J| as an exact integer (any labelling)."""
     _require_fwd(P)
-    import math
-
-    numer = math.factorial(P.n)
-    for pr in nontrivial_pairs(P):
-        numer *= pr.j1.bit_count() + pr.j2.bit_count()
-    denom = 1
-    for J in connected_ideals(P):
-        denom *= J.bit_count()
+    pairs, ideals = _hook_sizes(P)
+    numer = math.factorial(P.n) * math.prod(pairs)
+    denom = math.prod(ideals)
     if numer % denom:
         raise AssertionError("hook count is not an integer")
     return numer // denom
@@ -449,18 +424,13 @@ def duplication_product(P: Poset, classification, grading: str,
 
     if not isinstance(classification, BuildRecipe):
         raise NotFWDError("duplication product needs a classified poset")
-    g = normalize_grading(grading)
-    out = _series_shape(P, g, N)
-    out.add_term(0, (0,) * out.nx, 1)
+    out, key = _graded(P, grading, N)
+    out = out.one_like()
     for pr in nontrivial_pairs(P):
-        factor = out.one_like()
-        f = _multiset_vector(P, ((pr.j1, 1), (pr.j2, 1)))
-        factor.add_term(*_vector_key(g, f, 2), -1)
-        out = out * factor
+        f = _multiset_vector(P.n, ((pr.j1, 1), (pr.j2, 1)))
+        out = out * out.one_minus(*key(f, 2))
     for J in connected_ideals(P):
-        factor = out.one_like()
-        factor.add_term(*_vector_key(g, _multiset_vector(P, ((J, 1),)), 1), -1)
-        out = out * factor.inverse()
+        out = out * out.one_minus(*key(_multiset_vector(P.n, ((J, 1),)), 1)).inverse()
     return out
 
 

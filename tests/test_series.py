@@ -43,6 +43,31 @@ class TestTruncSeries:
         with pytest.raises(ArgError):
             normalize_grading("z")
 
+    @pytest.mark.parametrize("name, canonical", [
+        ("x-multi", "x"), ("x", "x"),
+        ("(t,x)", "tx"), ("tx", "tx"), ("t,x", "tx"),
+        ("(t,q)", "tq"), ("tq", "tq"), ("t,q", "tq"),
+        ("q", "q"), ("t", "t"),
+    ])
+    def test_grading_names(self, name, canonical):
+        assert normalize_grading(name) == canonical
+        assert normalize_grading(name.upper()) == canonical
+        # every spelling of a grading yields the same series
+        got = hilbert_truncated(P2, "weak", name, 4).to_json()
+        assert got == hilbert_truncated(P2, "weak", canonical, 4).to_json()
+
+    def test_t_series_truncates_by_t_degree(self):
+        got = hilbert_truncated(CHAIN2, "weak", "t", 3)
+        assert got.nx == 0
+        assert got.to_json()["trunc_on"] == "t"
+        # a 2-chain's two connected ideals are nested: k + 1 multisets of size k
+        assert got.coeffs == {(k, ()): k + 1 for k in range(4)}
+        got.add_term(4, (), 1)
+        assert (4, ()) not in got.coeffs
+        x_series = hilbert_truncated(CHAIN2, "weak", "tx", 3)
+        assert x_series.to_json()["trunc_on"] == "x"
+        assert max(sum(xs) for _, xs in x_series.coeffs) == 3
+
     def test_mul_truncates(self):
         s = TruncSeries(1, 3)
         s.add_term(0, (2,), 1)
@@ -110,14 +135,16 @@ class TestHilbert:
         assert got == g * denom
 
     def test_t_grading_matches_tx_collapse(self, posets4):
-        # coefficient of t^k counts weak vectors with nu = k; compare with
-        # a (t,x) series at a truncation deep enough to cover nu <= 2
-        for P in posets4[::13]:
-            t_series = hilbert_truncated(P, "weak", "t", 2)
-            tx = hilbert_truncated(P, "weak", "(t,x)", 2 * P.n)
-            for k in (0, 1, 2):
-                direct = sum(c for (t, _), c in tx.coeffs.items() if t == k)
-                assert t_series.coeffs.get((k, ()), 0) == direct
+        # coefficient of t^k counts vectors of the flavor with nu = k;
+        # compare with a (t,x) series at a truncation deep enough to
+        # cover nu <= 2
+        for P in posets4[::13] + [EX33, P2]:
+            for flavor in ("weak", "standard", "strict"):
+                t_series = hilbert_truncated(P, flavor, "t", 2)
+                tx = hilbert_truncated(P, flavor, "(t,x)", 2 * P.n)
+                for k in (0, 1, 2):
+                    direct = sum(c for (t, _), c in tx.coeffs.items() if t == k)
+                    assert t_series.coeffs.get((k, ()), 0) == direct
 
     def test_standard_flavors_nest(self):
         for P in (P2, P3, EX33):
@@ -256,3 +283,11 @@ class TestInitialQuotient:
             assert initial_quotient_hilbert(P, "x-multi", 6) == hilbert_truncated(
                 P, "weak", "x-multi", 6
             )
+
+    @pytest.mark.parametrize("grading", ["tx", "tq"])
+    def test_graded_prop_6_2(self, posets4, grading):
+        # Prop 6.2 keeps nu: a weak vector's multiset has size nu(f)
+        for P in posets4:
+            assert initial_quotient_hilbert(P, grading, 6) == hilbert_truncated(
+                P, "weak", grading, 6
+            ), sorted(P.covers)
