@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
-from .complexes import DEFAULT_VERTEX_CAP, delta_complex, forest_consistency, p_forests
+from .complexes import DEFAULT_VERTEX_CAP, delta_complex, forest_consistency
 from .errors import (
     ArgError,
     CapError,
@@ -29,7 +30,7 @@ from .errors import (
     RemainderError,
 )
 from .extensions import DEFAULT_CAP, count_extensions, linear_extensions, maj_polynomial
-from .partitions import STANDARD, WEAK, delta_data
+from .partitions import FLAVORS, STANDARD, WEAK, delta_data
 from .poset import (
     connected_ideals,
     is_naturally_labelled,
@@ -93,6 +94,7 @@ def _emit(command, digest, payload):
     }
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
+    sys.stdout.flush()  # a closed stdout fails here, inside main's error mapping
 
 
 def _qpoly_json(poly):
@@ -150,7 +152,7 @@ def _cmd_classify(P, args):
 def _cmd_hook(P, args):
     out = {"count": hook_count(P)}
     if is_naturally_labelled(P):
-        out["q_polynomial"] = _qpoly_json(hook_formula(P, cap=args.cap))
+        out["q_polynomial"] = _qpoly_json(hook_formula(P))
     else:
         out["q_polynomial"] = None
     return out
@@ -193,11 +195,10 @@ def _cmd_presentation(P, args):
 
 def _cmd_complex(P, args):
     complex_ = delta_complex(P, cap=args.complex_cap)
-    forests = p_forests(P, cap=args.complex_cap)
     report = forest_consistency(P, cap=args.complex_cap)
     return {
         "complex": complex_.to_json(),
-        "p_forests": [list(f.parent) for f in forests],
+        "p_forests": [list(parent) for parent, _ in report.terms],
         "consistency": report.to_json(),
     }
 
@@ -238,7 +239,7 @@ def _cmd_selftest(P, args):
         result = classify(P)
         if not isinstance(result, BuildRecipe) or not is_naturally_labelled(P):
             return True
-        return hook_formula(P, cap=args.cap) == maj_polynomial(P, cap=args.cap)
+        return hook_formula(P) == maj_polynomial(P, cap=args.cap)
 
     def ci_agreement():
         return ci_test_counts(P) == ci_test_ideals(P)
@@ -267,18 +268,6 @@ def _cmd_selftest(P, args):
     return {"identities": checks, "ok": ok}
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "extensions": _cmd_extensions,
-    "classify": _cmd_classify,
-    "hook": _cmd_hook,
-    "hilbert": _cmd_hilbert,
-    "presentation": _cmd_presentation,
-    "complex": _cmd_complex,
-    "selftest": _cmd_selftest,
-}
-
-
 def _count(text):
     """argparse type of --trunc and the caps: an integer >= 0."""
     try:
@@ -290,32 +279,46 @@ def _count(text):
     return value
 
 
+_OPTIONS = {
+    "--trunc": dict(type=_count, default=DEFAULT_TRUNC,
+                    help="series truncation order"),
+    "--cap": dict(type=_count, default=DEFAULT_CAP,
+                  help="linear extension enumeration cap"),
+    "--complex-cap": dict(type=_count, default=DEFAULT_VERTEX_CAP,
+                          help="vertex cap for the flag complex"),
+    "--list": dict(action="store_true",
+                   help="include every extension in the output"),
+    "--flavor": dict(default=WEAK, choices=FLAVORS),
+    "--grading": dict(default="q"),
+    "--format": dict(default="text", choices=["text", "m2"]),
+    "--out": dict(default=None, help="also write the export to this file"),
+}
+
+# Each command's handler and the options that handler reads.
+_COMMANDS = {
+    "analyze": (_cmd_analyze, ()),
+    "extensions": (_cmd_extensions, ("--cap", "--list")),
+    "classify": (_cmd_classify, ()),
+    "hook": (_cmd_hook, ()),
+    "hilbert": (_cmd_hilbert, ("--trunc", "--flavor", "--grading")),
+    "presentation": (_cmd_presentation, ("--cap", "--format", "--out")),
+    "complex": (_cmd_complex, ("--complex-cap",)),
+    "selftest": (_cmd_selftest, ("--trunc", "--cap", "--complex-cap")),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ppart",
         description="Poset partition toolkit: statistics, series, presentations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (handler, options) in _COMMANDS.items():
         p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
         p.add_argument("poset", help="path to a .poset file")
-        p.add_argument("--trunc", type=_count, default=DEFAULT_TRUNC,
-                       help="series truncation order")
-        p.add_argument("--cap", type=_count, default=DEFAULT_CAP,
-                       help="linear extension enumeration cap")
-        p.add_argument("--complex-cap", type=_count, default=DEFAULT_VERTEX_CAP,
-                       help="vertex cap for the flag complex")
-        if name == "extensions":
-            p.add_argument("--list", action="store_true",
-                           help="include every extension in the output")
-        if name == "hilbert":
-            p.add_argument("--flavor", default=WEAK,
-                           choices=["weak", "standard", "strict"])
-            p.add_argument("--grading", default="q")
-        if name == "presentation":
-            p.add_argument("--format", default="text", choices=["text", "m2"])
-            p.add_argument("--out", default=None,
-                           help="also write the export to this file")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
@@ -328,7 +331,15 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         P, digest = _load(args.poset)
-        payload = _COMMANDS[args.command](P, args)
+        payload = args.handler(P, args)
+        _emit(args.command, digest, payload)
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush of the
+        # unwritten output does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written",
+              file=sys.stderr)
+        return 2
     except (OSError,) + _PARSE_ERRORS as exc:  # OSError: unreadable input or --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -338,7 +349,6 @@ def main(argv=None) -> int:
     except _CAP_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    _emit(args.command, digest, payload)
     print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
     if args.command == "selftest" and not payload["ok"]:
         return 3

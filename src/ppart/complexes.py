@@ -29,14 +29,6 @@ class SimplicialComplex:
     vertices: tuple[int, ...]          # connected ideal masks, canonical order
     facets: tuple[tuple[int, ...], ...]  # each facet a tuple of masks
 
-    def is_face(self, masks) -> bool:
-        ms = list(masks)
-        return all(
-            trivially_intersecting(ms[i], ms[j])
-            for i in range(len(ms))
-            for j in range(i + 1, len(ms))
-        )
-
     def to_json(self):
         return {
             "vertices": [members(v) for v in self.vertices],

@@ -17,6 +17,7 @@ from .poset import Poset, hasse_components, ideal_key, lex_min_extension, member
 WEAK = "weak"
 STANDARD = "standard"
 STRICT = "strict"
+FLAVORS = (WEAK, STANDARD, STRICT)
 NONE = "none"
 
 
@@ -28,6 +29,11 @@ def _cover_ok(flavor: str, a: int, b: int, fa: int, fb: int) -> bool:
     if flavor == STANDARD:
         return fa > fb if a > b else fa >= fb
     return fa > fb
+
+
+def _check_flavor(flavor: str) -> None:
+    if flavor not in FLAVORS:
+        raise FlavorError(f"unknown flavor {flavor!r}")
 
 
 def satisfies(P: Poset, f, flavor: str) -> bool:
@@ -132,8 +138,7 @@ def fundamental_permutation(P: Poset, f):
 def enumerate_partitions(P: Poset, flavor: str, max_total: int):
     """All vectors of the given flavor with entry-sum <= max_total,
     in lexicographic order.  Exact and exhaustive."""
-    if flavor not in (WEAK, STANDARD, STRICT):
-        raise FlavorError(f"unknown flavor {flavor!r}")
+    _check_flavor(flavor)
     # Assign values top-down along a reversed linear extension so each
     # element sees the constraints from its upper covers.
     order = list(reversed(lex_min_extension(P)))

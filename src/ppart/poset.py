@@ -207,10 +207,6 @@ def hasse_components(P: Poset, mask: int) -> list[int]:
     return comps
 
 
-def c_p(P: Poset, mask: int) -> int:
-    return len(hasse_components(P, mask))
-
-
 def iter_ideals(P: Poset):
     """All order ideals of P (including the empty one), by BFS over the
     ideal lattice from the bottom, adding minimal elements of the complement."""

@@ -30,10 +30,6 @@ class QPolynomial:
     def one(cls) -> "QPolynomial":
         return cls((1,))
 
-    @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "QPolynomial":
-        return cls((0,) * degree + (coeff,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

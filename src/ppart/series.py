@@ -20,6 +20,7 @@ from .errors import ArgError, InstabilityError, LabelError, NotFWDError
 from .extensions import DEFAULT_CAP, linear_extensions
 from .partitions import (
     WEAK,
+    _check_flavor,
     _multiset_vector,
     connected_decomposition,
     enumerate_partitions,
@@ -66,15 +67,12 @@ class TruncSeries:
 
     __slots__ = ("nx", "has_t", "trunc", "coeffs", "xnames")
 
-    def __init__(self, nx, trunc, has_t=True, coeffs=None, xnames=None):
+    def __init__(self, nx, trunc, has_t=True, xnames=None):
         self.nx = nx
         self.trunc = trunc
         self.has_t = has_t
         self.xnames = tuple(xnames) if xnames else tuple(f"x{i+1}" for i in range(nx))
         self.coeffs = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                self.add_term(key[0], key[1], c)
 
     def _deg(self, t, xs):
         return sum(xs) if self.nx else t
@@ -304,6 +302,7 @@ def initial_quotient_hilbert(P: Poset, grading: str, N: int) -> TruncSeries:
 def hilbert_truncated(P: Poset, flavor: str, grading: str, N: int) -> TruncSeries:
     """Sum of t^nu(f) x^f over value vectors of the given flavor,
     truncated at total x degree N (or nu <= N for the pure t grading)."""
+    _check_flavor(flavor)
     out, key = _graded(P, grading, N)
     if not out.nx:
         # Enumerating by |f| is hopeless when only nu is bounded.
@@ -381,7 +380,7 @@ def _hook_sizes(P: Poset):
     return pairs, [J.bit_count() for J in connected_ideals(P)]
 
 
-def hook_formula(P: Poset, cap: int = DEFAULT_CAP) -> QPolynomial:
+def hook_formula(P: Poset) -> QPolynomial:
     """[n]!_q * prod over pairs [|J1|+|J2|]_q / prod over ideals [|J|]_q,
     by exact division; equals the maj generating polynomial."""
     if not is_naturally_labelled(P):

@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -56,11 +60,67 @@ class TestExitCodes:
         target = tmp_path / "missing" / "ring.m2"
         self._assert_input_error(["presentation", EX33, "--out", str(target)], capsys)
 
-    @pytest.mark.parametrize("flag", ["--trunc", "--cap", "--complex-cap"])
-    def test_negative_count(self, flag):
-        code, out = run_cli(["hilbert", P2, flag, "-1"])
+    @pytest.mark.parametrize(
+        "flag,command",
+        [("--trunc", "hilbert"), ("--cap", "extensions"), ("--complex-cap", "complex")],
+        ids=["--trunc", "--cap", "--complex-cap"],
+    )
+    def test_negative_count(self, flag, command):
+        code, out = run_cli([command, P2, flag, "-1"])
         assert code == 1
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(c, f) for c in ("analyze", "classify", "hook")
+         for f in ("--trunc", "--cap", "--complex-cap")]
+        + [("extensions", "--trunc"), ("extensions", "--complex-cap"),
+           ("hilbert", "--cap"), ("hilbert", "--complex-cap"),
+           ("presentation", "--trunc"), ("presentation", "--complex-cap"),
+           ("complex", "--trunc"), ("complex", "--cap")],
+    )
+    def test_unread_option_rejected(self, command, flag):
+        code, out = run_cli([command, P2, flag, "5"])
+        assert code == 1
+        assert out == ""
+
+    @pytest.mark.parametrize("command,options", [
+        pytest.param(command, options, id=command) for command, options in {
+            "analyze": set(),
+            "extensions": {"--cap", "--list"},
+            "classify": set(),
+            "hook": set(),
+            "hilbert": {"--trunc", "--flavor", "--grading"},
+            "presentation": {"--cap", "--format", "--out"},
+            "complex": {"--complex-cap"},
+            "selftest": {"--trunc", "--cap", "--complex-cap"},
+        }.items()
+    ])
+    def test_help(self, command, options):
+        code, out = run_cli([command, "-h"])
+        assert code == 0
+        assert out.startswith(f"usage: ppart {command} ")
+        assert set(re.findall(r"--[a-z][a-z-]*", out)) == options | {"--help"}
+
+    def test_closed_stdout(self):
+        # The read end is closed before the child starts, so its first
+        # write to stdout fails with EPIPE.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(FIXTURES.parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ppart.cli", "analyze", P2],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1
 
 
 class TestPayloads:

@@ -4,6 +4,7 @@ import pytest
 
 from ppart import (
     ArgError,
+    FlavorError,
     InstabilityError,
     LabelError,
     NotFWDError,
@@ -145,6 +146,11 @@ class TestHilbert:
                 for k in (0, 1, 2):
                     direct = sum(c for (t, _), c in tx.coeffs.items() if t == k)
                     assert t_series.coeffs.get((k, ()), 0) == direct
+
+    @pytest.mark.parametrize("grading", ["x", "tx", "q", "tq", "t"])
+    def test_unknown_flavor_rejected(self, grading):
+        with pytest.raises(FlavorError):
+            hilbert_truncated(P2, "bogus", grading, 2)
 
     def test_standard_flavors_nest(self):
         for P in (P2, P3, EX33):
