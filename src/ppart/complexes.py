@@ -150,6 +150,7 @@ class ForestReport:
     terms: tuple[tuple[tuple[int, ...], int], ...]  # (parent vector, count)
     total: int
     expected: int
+    complex: SimplicialComplex  # the flag complex whose facets were checked
 
     @property
     def ok(self) -> bool:
@@ -166,11 +167,14 @@ class ForestReport:
 
 def forest_consistency(P: Poset, cap: int = DEFAULT_VERTEX_CAP) -> ForestReport:
     """Check that the facet forests partition the linear extensions:
-    the forest counts must add up to the extension count of P."""
+    the forest counts must add up to the extension count of P.  The
+    report keeps the complex, so a caller never builds it twice."""
+    complex_ = delta_complex(P, cap)
     terms = []
     total = 0
-    for forest in p_forests(P, cap):
+    for facet in complex_.facets:
+        forest = _facet_to_forest(P, facet)
         c = count_extensions(forest.as_poset())
         terms.append((forest.parent, c))
         total += c
-    return ForestReport(tuple(terms), total, count_extensions(P))
+    return ForestReport(tuple(terms), total, count_extensions(P), complex_)

@@ -15,6 +15,7 @@ vector into a monomial of that shape.
 from __future__ import annotations
 
 import math
+from operator import add
 
 from .errors import ArgError, InstabilityError, LabelError, NotFWDError
 from .extensions import DEFAULT_CAP, linear_extensions
@@ -130,15 +131,25 @@ class TruncSeries:
     def __sub__(self, other):
         return self + (-other)
 
+    def _buckets(self):
+        """Terms as (t, xs, c), grouped by truncated degree."""
+        buckets = {}
+        for (t, xs), c in self.coeffs.items():
+            buckets.setdefault(self._deg(t, xs), []).append((t, xs, c))
+        return buckets
+
     def __mul__(self, other):
+        """Only bucket pairs whose degrees add up to at most trunc are
+        multiplied, so no product term is built and then dropped."""
         self._compatible(other)
+        acc = {}
+        b = other._buckets()
+        for da, terms in self._buckets().items():
+            for db, other_terms in b.items():
+                if da + db <= self.trunc:
+                    _mul_into(acc, terms, other_terms)
         out = self._like()
-        for (t1, x1), c1 in self.coeffs.items():
-            for (t2, x2), c2 in other.coeffs.items():
-                t = t1 + t2
-                xs = tuple(a + b for a, b in zip(x1, x2))
-                if out._deg(t, xs) <= self.trunc:
-                    out.add_term(t, xs, c1 * c2)
+        out.coeffs = {k: c for k, c in acc.items() if c}
         return out
 
     def __eq__(self, other):
@@ -157,19 +168,26 @@ class TruncSeries:
 
         The constant term must be 1 or -1, and every other monomial must
         have positive truncated degree (otherwise powers never die out).
+        The inverse b of a = c0 + a_1 + a_2 + ..., split by degree, is
+        found one degree at a time: b_0 = c0 and
+        b_d = -c0 * sum_{k=1..d} a_k b_{d-k} (Knuth, TAOCP vol. 2, 4.7).
         """
         c0 = self.constant_term()
         if c0 not in (1, -1):
             raise ArgError("inverse needs constant term +-1")
-        for (t, xs) in self.coeffs:
-            if (t, xs) != (0, (0,) * self.nx) and self._deg(t, xs) == 0:
-                raise ArgError("inverse needs positive degree on nonconstant terms")
-        a = self if c0 == 1 else -self
-        u = a.one_like() - a
-        inv = a.one_like()
-        for _ in range(self.trunc):
-            inv = a.one_like() + u * inv
-        return inv if c0 == 1 else -inv
+        a = self._buckets()
+        if len(a[0]) > 1:
+            raise ArgError("inverse needs positive degree on nonconstant terms")
+        b = [a[0]]
+        for d in range(1, self.trunc + 1):
+            acc = {}
+            for k in range(1, d + 1):
+                if k in a:
+                    _mul_into(acc, a[k], b[d - k])
+            b.append([(t, xs, -c0 * c) for (t, xs), c in acc.items() if c])
+        out = self._like()
+        out.coeffs = {(t, xs): c for terms in b for t, xs, c in terms}
+        return out
 
     def substitute_neg_t(self):
         out = self._like()
@@ -226,6 +244,15 @@ class TruncSeries:
             else:
                 chunks.append(("+ " if c > 0 else "- ") + body)
         return " ".join(chunks)
+
+
+def _mul_into(acc, terms_a, terms_b):
+    """Add the product of every term of terms_a with every term of
+    terms_b to the map acc from (t, xs) to coefficient."""
+    for t1, x1, c1 in terms_a:
+        for t2, x2, c2 in terms_b:
+            key = (t1 + t2, tuple(map(add, x1, x2)))
+            acc[key] = acc.get(key, 0) + c1 * c2
 
 
 # -- grading plumbing ---------------------------------------------------
@@ -321,21 +348,30 @@ def rational_sum_truncated(P: Poset, grading: str, N: int,
     expanded as a truncated series."""
     if not is_naturally_labelled(P):
         raise LabelError("rational sum needs a naturally labelled poset")
-    out, key = _graded(P, grading, N)
-    for ext in linear_extensions(P, cap=cap):
-        term = out.one_like()
-        descents = set(ext.des_set)
-        for i in range(1, P.n + 1):
-            prefix = ext.prefix_mask(i)
+    zero, key = _graded(P, grading, N)
+    # (prefix mask, is a descent) -> 1/(1 - m), or m/(1 - m) = 1/(1 - m) - 1
+    # at a descent, for the prefix's monomial m = t^c x^J.
+    factors = {}
+
+    def factor(prefix, descent):
+        f = factors.get((prefix, descent))
+        if f is None:
             c = len(hasse_components(P, prefix))
             t, xs = key(_multiset_vector(P.n, ((prefix, 1),)), c)
-            term = term * out.one_minus(t, xs).inverse()
-            if i in descents:
-                numer = out._like()
-                numer.add_term(t, xs, 1)
-                term = term * numer
-        out = out + term
-    return out
+            f = zero.one_minus(t, xs).inverse()
+            if descent:
+                f = f - f.one_like()
+            factors[(prefix, descent)] = f
+        return f
+
+    total = zero
+    for ext in linear_extensions(P, cap=cap):
+        term = zero.one_like()
+        descents = set(ext.des_set)
+        for i in range(1, P.n + 1):
+            term = term * factor(ext.prefix_mask(i), i in descents)
+        total = total + term
+    return total
 
 
 def numerator_polynomial(P: Poset, N: int = DEFAULT_TRUNC) -> TruncSeries:

@@ -60,6 +60,22 @@ class TestExitCodes:
         target = tmp_path / "missing" / "ring.m2"
         self._assert_input_error(["presentation", EX33, "--out", str(target)], capsys)
 
+    def test_unknown_grading(self, capsys):
+        code = main(["hilbert", P2, "--grading", "bogus"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "unknown grading 'bogus'" in err
+
+    @pytest.mark.parametrize("grading", [
+        "x-multi", "x", "(t,x)", "t,x", "tx", "(t,q)", "t,q", "tq", "q", "t",
+    ])
+    def test_grading_names(self, grading):
+        for spelling in (grading, grading.upper()):
+            code, out = run_cli(["hilbert", P2, "--grading", spelling, "--trunc", "2"])
+            assert code == 0
+            assert json.loads(out)["results"]["grading"] == spelling
+
     @pytest.mark.parametrize(
         "flag,command",
         [("--trunc", "hilbert"), ("--cap", "extensions"), ("--complex-cap", "complex")],
@@ -157,6 +173,30 @@ class TestPayloads:
         assert code == 0
         doc = json.loads(out)
         assert doc["results"]["ok"]
+
+    def test_selftest_times_each_check(self, capsys):
+        assert main(["selftest", P2, "--trunc", "6"]) == 0
+        out, err = capsys.readouterr()
+        checks = json.loads(out)["results"]["identities"]
+        lines = err.splitlines()[: len(checks)]
+        for check, line in zip(checks, lines):
+            assert re.fullmatch(
+                rf" *{check['status']}  {check['name']}  \d+\.\d{{3}}s", line)
+
+    def test_complex_builds_the_complex_once(self, monkeypatch):
+        import ppart.complexes
+
+        runs = []  # Bron-Kerbosch runs, one per flag complex built
+        max_cliques = ppart.complexes._max_cliques
+
+        def counting(*args):
+            runs.append(args)
+            return max_cliques(*args)
+
+        monkeypatch.setattr(ppart.complexes, "_max_cliques", counting)
+        code, _ = run_cli(["complex", FIG1])
+        assert code == 0
+        assert len(runs) == 1
 
     def test_m2_out_file(self, tmp_path):
         target = tmp_path / "out.m2"

@@ -124,6 +124,12 @@ class TestConsistency:
         assert r.expected == 300
         assert r.ok
 
+    def test_report_keeps_the_checked_complex(self):
+        for P in (BOWTIE, CHAIN3, FIG1, EX33):
+            r = forest_consistency(P)
+            assert r.complex == delta_complex(P)
+            assert [parent for parent, _ in r.terms] == [f.parent for f in p_forests(P)]
+
     def test_exhaustive_small(self, posets5):
         for P in posets5[::11]:
             assert forest_consistency(P).ok

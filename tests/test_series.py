@@ -36,6 +36,60 @@ def geometric(base_t, base_x, like):
     return f.inverse()
 
 
+# -- oracles for the series kernel: the plain algorithms it replaces ------
+
+
+def naive_mul(a, b):
+    """Every term pair multiplied, then the terms above trunc dropped."""
+    out = TruncSeries(a.nx, a.trunc, a.has_t, xnames=a.xnames)
+    for (t1, x1), c1 in a.coeffs.items():
+        for (t2, x2), c2 in b.coeffs.items():
+            out.add_term(t1 + t2, [p + q for p, q in zip(x1, x2)], c1 * c2)
+    return out
+
+
+def fixed_point_inverse(s):
+    """trunc rounds of inv <- 1 + (1 - a) inv, for a = c0 * s."""
+    a = s if s.constant_term() == 1 else -s
+    one = a.one_like()
+    inv = one
+    for _ in range(s.trunc):
+        inv = one + naive_mul(one - a, inv)
+    return inv if s.constant_term() == 1 else -inv
+
+
+def truncated_degree(s, t, xs):
+    return sum(xs) if s.nx else t
+
+
+def random_series(rng, nx, has_t, trunc, c0):
+    """c0 plus a few random terms of positive truncated degree, with
+    exponents small enough that products collide and cancel."""
+    s = TruncSeries(nx, trunc, has_t)
+    s.add_term(0, (0,) * nx, c0)
+    for _ in range(rng.randint(1, 6)):
+        t = rng.randint(0, 2) if has_t else 0
+        xs = tuple(rng.randint(0, 2) for _ in range(nx))
+        if truncated_degree(s, t, xs) > 0:
+            s.add_term(t, xs, rng.choice((-2, -1, 1, 2)))
+    return s
+
+
+def assert_canonical(s):
+    """No zero coefficient stored and no term above the truncation."""
+    assert all(s.coeffs.values())
+    assert all(truncated_degree(s, t, xs) <= s.trunc for t, xs in s.coeffs)
+
+
+SHAPES = [
+    pytest.param(0, True, 6, id="nx0-by-t"),
+    pytest.param(1, False, 7, id="nx1"),
+    pytest.param(1, True, 6, id="nx1-t"),
+    pytest.param(3, True, 4, id="nx3-t"),
+    pytest.param(3, False, 4, id="nx3"),
+]
+
+
 class TestTruncSeries:
     def test_grading_aliases(self):
         assert normalize_grading("x-multi") == "x"
@@ -88,6 +142,46 @@ class TestTruncSeries:
         s.add_term(0, (0,), 2)
         with pytest.raises(ArgError):
             s.inverse()
+
+    def test_inverse_needs_positive_degree(self):
+        # t has x degree 0, so the powers of 1 - t never die out
+        s = TruncSeries(1, 3)
+        s.add_term(0, (0,), 1)
+        s.add_term(1, (0,), -1)
+        with pytest.raises(ArgError, match="positive degree"):
+            s.inverse()
+
+    @pytest.mark.parametrize("c0", [1, -1])
+    @pytest.mark.parametrize("nx, has_t, trunc", SHAPES)
+    def test_kernel_matches_oracles(self, nx, has_t, trunc, c0):
+        rng = random.Random(1000 * nx + 10 * trunc + 2 * has_t + (c0 > 0))
+        for _ in range(20):
+            a = random_series(rng, nx, has_t, trunc, c0)
+            b = random_series(rng, nx, has_t, trunc, rng.choice((1, -1)))
+            products = [a * b, b * a, a * a]
+            assert products == [naive_mul(a, b), naive_mul(b, a), naive_mul(a, a)]
+            inv = a.inverse()
+            assert inv == fixed_point_inverse(a)
+            assert a * inv == 1
+            for s in products + [inv]:
+                assert_canonical(s)
+
+    @pytest.mark.parametrize("nx, has_t, trunc", SHAPES)
+    def test_kernel_cancellation(self, nx, has_t, trunc):
+        # a * a(-t) has no odd powers of t, and (1 - m)(1 + m) = 1 - m^2
+        rng = random.Random(nx + trunc)
+        for _ in range(20):
+            a = random_series(rng, nx, has_t, trunc, 1)
+            for b in (a.substitute_neg_t(), a.one_like() + a.one_like() - a, -a):
+                got = a * b
+                assert got == naive_mul(a, b)
+                assert_canonical(got)
+        m = TruncSeries(nx, trunc, has_t)
+        m.add_term(1 if has_t else 0, (1,) * nx, 1)
+        one = m.one_like()
+        got = (one - m) * (one + m)
+        assert got == one - naive_mul(m, m)
+        assert_canonical(got)
 
     def test_randomized_ring_axioms(self):
         rng = random.Random(7)
@@ -271,6 +365,17 @@ class TestKoszul:
     def test_ex33(self):
         _, ok = koszul_inverse(EX33, 8)
         assert ok
+
+    @pytest.mark.parametrize("P", [
+        pytest.param(Poset(8, []), id="antichain8"),
+        # one bottom element covered by eight pairwise incomparable ones
+        pytest.param(Poset(9, [(1, k) for k in range(2, 10)]), id="claw9"),
+    ])
+    def test_cor_1_5_wide(self, P):
+        inv, ok = koszul_inverse(P, 6)
+        assert ok is True
+        h = hilbert_truncated(P, "weak", "tx", 6)
+        assert inv * h.substitute_neg_t() == 1
 
     def test_antichain2_closed_form(self):
         P = Poset(2, [])
