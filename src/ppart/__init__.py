@@ -18,6 +18,7 @@ from .errors import (
     CycleError,
     ExplosionError,
     FlavorError,
+    InputError,
     InstabilityError,
     LabelError,
     NotFWDError,

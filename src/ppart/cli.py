@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every command reads a poset file, prints one deterministic JSON document
-to stdout, and maps failures to exit codes: 1 usage, 2 parse/validation,
-3 domain precondition, 4 cap/explosion.  Timing goes to stderr so stdout
-stays byte-stable.
+to stdout, and maps failures to exit codes: 1 usage, 2 input or output
+(`errors.InputError`, OSError), 4 size cap (`errors.CapError`), 3 any
+other `errors.PPartError`.  Timing goes to stderr so stdout stays
+byte-stable.
 """
 
 from __future__ import annotations
@@ -15,20 +16,8 @@ import os
 import sys
 import time
 
+from . import errors
 from .complexes import DEFAULT_VERTEX_CAP, forest_consistency
-from .errors import (
-    ArgError,
-    CapError,
-    CycleError,
-    ExplosionError,
-    FlavorError,
-    InstabilityError,
-    LabelError,
-    NotFWDError,
-    PosetSyntaxError,
-    RangeError,
-    RemainderError,
-)
 from .extensions import DEFAULT_CAP, count_extensions, linear_extensions, maj_polynomial
 from .partitions import FLAVORS, STANDARD, WEAK, delta_data
 from .poset import (
@@ -62,24 +51,13 @@ from .structure import BuildRecipe, ci_test_counts, ci_test_ideals, classify
 
 SCHEMA = "ppart/1"
 
-_PARSE_ERRORS = (PosetSyntaxError, CycleError, RangeError)
-_DOMAIN_ERRORS = (
-    NotFWDError,
-    LabelError,
-    FlavorError,
-    RemainderError,
-    InstabilityError,
-    ArgError,
-)
-_CAP_ERRORS = (ExplosionError, CapError)
-
 
 def _load(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
-            raise PosetSyntaxError(
+            raise errors.PosetSyntaxError(
                 f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
             ) from None
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -212,7 +190,7 @@ def _cmd_selftest(P, args):
         started = time.monotonic()
         try:
             status = "pass" if fn() else "fail"
-        except _CAP_ERRORS:
+        except errors.CapError:
             status = "skipped"
         seconds.append(time.monotonic() - started)
         checks.append({"name": name, "status": status})
@@ -286,7 +264,7 @@ def _grading(text):
     kept as written because the output echoes it."""
     try:
         normalize_grading(text)
-    except ArgError as exc:
+    except errors.ArgError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return text
 
@@ -352,15 +330,15 @@ def main(argv=None) -> int:
         print("error: stdout was closed before the output was written",
               file=sys.stderr)
         return 2
-    except (OSError,) + _PARSE_ERRORS as exc:  # OSError: unreadable input or --out
+    except (OSError, errors.InputError) as exc:  # OSError: unreadable input or --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except _CAP_ERRORS as exc:
+    except errors.CapError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    except errors.PPartError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
     if args.command == "selftest" and not payload["ok"]:
         return 3

@@ -1,19 +1,27 @@
-"""Exception hierarchy shared by all ppart modules."""
+"""Exception hierarchy shared by all ppart modules.
+
+The CLI's exit code follows the family of the class: an `InputError`
+exits 2, a `CapError` exits 4, and every other `PPartError` exits 3.
+"""
 
 
 class PPartError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class PosetSyntaxError(PPartError):
+class InputError(PPartError):
+    """The input poset is malformed or out of range."""
+
+
+class PosetSyntaxError(InputError):
     """Malformed line in a poset file."""
 
 
-class CycleError(PPartError):
+class CycleError(InputError):
     """The input relation digraph contains a directed cycle."""
 
 
-class RangeError(PPartError):
+class RangeError(InputError):
     """An element label or size parameter is out of range."""
 
 
@@ -23,10 +31,6 @@ class FlavorError(PPartError):
 
 class LabelError(PPartError):
     """Operation requires a naturally labelled poset."""
-
-
-class ExplosionError(PPartError):
-    """An enumeration exceeded its configured cap."""
 
 
 class NotFWDError(PPartError):
@@ -41,9 +45,13 @@ class InstabilityError(PPartError):
     """A numerator polynomial did not stabilize at the given truncation."""
 
 
-class CapError(PPartError):
-    """A size cap on complex enumeration was exceeded."""
-
-
 class ArgError(PPartError):
     """An argument violates an operation's precondition."""
+
+
+class CapError(PPartError):
+    """A size cap was exceeded."""
+
+
+class ExplosionError(CapError):
+    """The CapError of the linear-extension enumeration."""

@@ -1,32 +1,19 @@
 """Named test posets shipped with the package.
 
-The same posets exist as .poset files under ppart/fixtures/ for CLI use.
+Each is parsed from its file under ppart/fixtures/, the same file the
+CLI reads.
 """
 
-from .poset import Poset
+from pathlib import Path
 
-COVER_LISTS = {
-    # 8-element forest with duplications, duplication pairs {5,6} and {7,8}
-    "fig1": (8, [(1, 5), (1, 6), (2, 6), (3, 7), (3, 8), (4, 7), (4, 8),
-                 (5, 7), (5, 8), (6, 7), (6, 8)]),
-    # 5-element poset with 7 linear extensions and 3 nontrivial ideal pairs
-    "ex33": (5, [(1, 3), (2, 3), (2, 4), (3, 5)]),
-    # three labellings of the 3-element "V" poset
-    "p1": (3, [(1, 2), (1, 3)]),
-    "p2": (3, [(2, 1), (2, 3)]),
-    "p3": (3, [(3, 1), (3, 2)]),
-    # minimal non-complete-intersection posets (forbidden patterns)
-    "forb1": (4, [(1, 2), (2, 3), (1, 4)]),
-    "forb2": (5, [(1, 3), (1, 4), (2, 4), (2, 5)]),
-    "forb3": (4, [(1, 2), (1, 3), (1, 4)]),
-    # 4-element "bowtie": 1,3 below 2,4
-    "bowtie": (4, [(1, 2), (1, 4), (3, 2), (3, 4)]),
-}
+from .poset import Poset, parse_poset
+
+_DIR = Path(__file__).with_name("fixtures")
 
 
 def fixture(name: str) -> Poset:
-    n, covers = COVER_LISTS[name.lower()]
-    return Poset(n, covers)
+    """The poset in fixtures/<name>.poset (name in any case)."""
+    return parse_poset((_DIR / f"{name.lower()}.poset").read_text(encoding="utf-8"))
 
 
 FIG1 = fixture("fig1")
@@ -38,5 +25,3 @@ FORB1 = fixture("forb1")
 FORB2 = fixture("forb2")
 FORB3 = fixture("forb3")
 BOWTIE = fixture("bowtie")
-
-FORBIDDEN = (FORB1, FORB2, FORB3)

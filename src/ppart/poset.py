@@ -93,9 +93,6 @@ class Poset:
     def lt(self, a: int, b: int) -> bool:
         return bool(self._up_strict[a] & (1 << (b - 1)))
 
-    def leq(self, a: int, b: int) -> bool:
-        return a == b or self.lt(a, b)
-
     def comparable(self, a: int, b: int) -> bool:
         return a == b or self.lt(a, b) or self.lt(b, a)
 
@@ -106,13 +103,6 @@ class Poset:
     def down_strict(self, a: int) -> int:
         """Mask of {b : b <_P a}."""
         return self._down_strict[a]
-
-    def down_set(self, mask: int) -> int:
-        """Smallest order ideal containing the given set."""
-        out = mask
-        for p in members(mask):
-            out |= self._down_strict[p]
-        return out
 
     def minimal_elements(self, mask: int) -> list[int]:
         return [p for p in members(mask) if not (self._down_strict[p] & mask)]

@@ -18,11 +18,6 @@ from .poset import (
     nontrivial_pairs,
 )
 
-TORIC = "toric"
-GRADED = "graded"
-INITIAL = "initial"
-
-
 def var_name(mask: int, wide: bool) -> str:
     """U followed by the sorted member labels; underscore-separated once
     labels can reach two digits, so names stay unambiguous."""
@@ -50,7 +45,6 @@ class SyzGenerator:
     """
 
     pair: PiPair
-    kind: str
     lhs: tuple[int, ...]
     rhs: tuple[int, ...]
 
@@ -69,7 +63,7 @@ def toric_generators(P: Poset) -> list[SyzGenerator]:
     out = []
     for pr in nontrivial_pairs(P):
         rhs = (pr.union,) + pr.intersection_components
-        out.append(SyzGenerator(pr, TORIC, (pr.j1, pr.j2), rhs))
+        out.append(SyzGenerator(pr, (pr.j1, pr.j2), rhs))
     return out
 
 
@@ -82,13 +76,13 @@ def graded_generators(P: Poset) -> list[SyzGenerator]:
             rhs = (pr.union, pr.intersection)
         else:
             rhs = ()
-        out.append(SyzGenerator(pr, GRADED, (pr.j1, pr.j2), rhs))
+        out.append(SyzGenerator(pr, (pr.j1, pr.j2), rhs))
     return out
 
 
 def initial_generators(P: Poset) -> list[SyzGenerator]:
     return [
-        SyzGenerator(pr, INITIAL, (pr.j1, pr.j2), ())
+        SyzGenerator(pr, (pr.j1, pr.j2), ())
         for pr in nontrivial_pairs(P)
     ]
 

@@ -14,11 +14,12 @@ vector into a monomial of that shape.
 
 from __future__ import annotations
 
+import itertools
 import math
 from operator import add
 
 from .errors import ArgError, InstabilityError, LabelError, NotFWDError
-from .extensions import DEFAULT_CAP, linear_extensions
+from .extensions import linear_extensions
 from .partitions import (
     WEAK,
     _check_flavor,
@@ -36,6 +37,7 @@ from .poset import (
     trivially_intersecting,
 )
 from .qpoly import QPolynomial, q_factorial, q_int
+from .structure import BuildRecipe, classify
 
 DEFAULT_TRUNC = 12
 
@@ -308,12 +310,15 @@ def _multiset_series(P: Poset, flavor: str, out: TruncSeries, key) -> TruncSerie
     connected ideals up to out's truncation whose vector f has the flavor.
 
     Each weak vector arises from exactly one multiset, of size nu(f), and
-    its total x degree is the multiset's weight."""
+    its total x degree is the multiset's weight, so every key is within
+    the truncation and is counted straight into out."""
+    counts = {}
     for ms in _iter_trivial_multisets(P, out.trunc, weighted=out.nx > 0):
         f = _multiset_vector(P.n, ms)
         if flavor == WEAK or satisfies(P, f, flavor):
-            t, xs = key(f, sum(m for _, m in ms))
-            out.add_term(t, xs, 1)
+            k = key(f, sum(m for _, m in ms))
+            counts[k] = counts.get(k, 0) + 1
+    out.coeffs = counts
     return out
 
 
@@ -334,15 +339,15 @@ def hilbert_truncated(P: Poset, flavor: str, grading: str, N: int) -> TruncSerie
     if not out.nx:
         # Enumerating by |f| is hopeless when only nu is bounded.
         return _multiset_series(P, flavor, out, key)
+    counts = {}  # every enumerated f has |f| <= N, within the truncation
     for f in enumerate_partitions(P, flavor, N):
-        nu = connected_decomposition(P, f).nu if out.has_t else 0
-        t, xs = key(f, nu)
-        out.add_term(t, xs, 1)
+        k = key(f, connected_decomposition(P, f).nu if out.has_t else 0)
+        counts[k] = counts.get(k, 0) + 1
+    out.coeffs = counts
     return out
 
 
-def rational_sum_truncated(P: Poset, grading: str, N: int,
-                           cap: int = DEFAULT_CAP) -> TruncSeries:
+def rational_sum_truncated(P: Poset, grading: str, N: int) -> TruncSeries:
     """Sum over linear extensions w of
     t^{des_P(w)} prod_{i in Des(w)} x^{w[:i]} / prod_i (1 - t^{c} x^{w[:i]}),
     expanded as a truncated series."""
@@ -365,7 +370,7 @@ def rational_sum_truncated(P: Poset, grading: str, N: int,
         return f
 
     total = zero
-    for ext in linear_extensions(P, cap=cap):
+    for ext in linear_extensions(P):
         term = zero.one_like()
         descents = set(ext.des_set)
         for i in range(1, P.n + 1):
@@ -377,14 +382,14 @@ def rational_sum_truncated(P: Poset, grading: str, N: int,
 def numerator_polynomial(P: Poset, N: int = DEFAULT_TRUNC) -> TruncSeries:
     """g with Hilb(gr R_P, t, x) = g(t,x) / prod_{J in J_conn}(1 - t x^J).
 
-    Computed as the truncated product.  When the poset classifies as a
-    forest with duplications the numerator degree is known exactly from
-    the closed product form, so insufficient N is detected soundly; for
-    other posets stability is checked by recomputation at N + 2 (which a
-    wide enough gap in the numerator's degrees could in principle fool).
+    Computed as the truncated product, which is exact in every degree up
+    to its truncation.  When the poset classifies as a forest with
+    duplications the numerator degree is known exactly from the closed
+    product form.  For other posets the x degree lies in the range given
+    by `_numerator_bounds`: N below it raises at once, then a cheap probe
+    at N + 2 and, when that probe is below the upper bound, an exact
+    product at the upper bound must show no term above N.
     """
-    from .structure import BuildRecipe, classify
-
     if isinstance(classify(P), BuildRecipe):
         need = sum(_hook_sizes(P)[0])
         if N < need:
@@ -392,12 +397,35 @@ def numerator_polynomial(P: Poset, N: int = DEFAULT_TRUNC) -> TruncSeries:
                 f"numerator has degree {need}, above truncation {N}"
             )
         return _numerator_at(P, N)
+    lo, hi = _numerator_bounds(P)
+    if N < lo:
+        raise InstabilityError(
+            f"numerator has degree at least {lo}, above truncation {N}"
+        )
     g_n = _numerator_at(P, N)
     g_n2 = _numerator_at(P, N + 2)
     small = {k: c for k, c in g_n2.coeffs.items() if sum(k[1]) <= N}
     if small != g_n.coeffs or any(sum(k[1]) > N for k in g_n2.coeffs):
         raise InstabilityError(f"numerator not stable at truncation {N}")
+    if N + 2 < hi and any(sum(k[1]) > N for k in _numerator_at(P, hi).coeffs):
+        raise InstabilityError(f"numerator has degree above truncation {N}")
     return g_n
+
+
+def _numerator_bounds(P: Poset) -> tuple[int, int]:
+    """(lo, hi) with lo <= x degree of the numerator <= hi.
+
+    lo is the largest |J1| + |J2| over Pi: the t^2 coefficients of the
+    numerator are minus the number of pairs of Pi with that vector, so
+    none cancels.  hi is the sum of |J| over the connected ideals in some
+    pair of Pi: the rest are cone points of the flag complex, which add
+    nothing to its Stanley-Reisner numerator (Hochster's formula)."""
+    lo, in_pairs = 0, set()
+    for j1, j2 in itertools.combinations(connected_ideals(P), 2):
+        if not trivially_intersecting(j1, j2):
+            lo = max(lo, j1.bit_count() + j2.bit_count())
+            in_pairs.update((j1, j2))
+    return lo, sum(J.bit_count() for J in in_pairs)
 
 
 def _numerator_at(P: Poset, N: int) -> TruncSeries:
@@ -443,8 +471,6 @@ def hook_count(P: Poset) -> int:
 
 
 def _require_fwd(P: Poset):
-    from .structure import BuildRecipe, classify
-
     result = classify(P)
     if not isinstance(result, BuildRecipe):
         raise NotFWDError("poset is not a forest with duplications")
@@ -455,8 +481,6 @@ def duplication_product(P: Poset, classification, grading: str,
                         N: int = DEFAULT_TRUNC) -> TruncSeries:
     """prod over pairs (1 - t^2 x^{J1} x^{J2}) / prod over ideals (1 - t x^J),
     truncated.  classification must be a successful recipe."""
-    from .structure import BuildRecipe
-
     if not isinstance(classification, BuildRecipe):
         raise NotFWDError("duplication product needs a classified poset")
     out, key = _graded(P, grading, N)

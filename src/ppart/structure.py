@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ArgError
+from .fixtures import FORB1, FORB2, FORB3
 from .poset import (
     Poset,
     PiPair,
@@ -70,31 +71,22 @@ class BuildRecipe:
 class Witness:
     """Certificate that the poset is not a complete intersection.
 
-    kind is "BadIdeal" (a connected ideal that is neither principal nor
-    nearly principal, with its distinct pair decompositions: two of them
-    normally, none when the ideal is not a pair union at all) or
-    "ForbiddenSubposet" (an induced occurrence of a forbidden pattern).
+    kind is always "BadIdeal": a connected ideal that is neither principal
+    nor nearly principal, with its distinct pair decompositions (two of
+    them normally, none when the ideal is not a pair union at all).
     """
 
     kind: str
     ideal: int = 0
     decompositions: tuple = ()
-    pattern: str = ""
-    embedding: tuple = ()
 
     def to_json(self):
-        if self.kind == "BadIdeal":
-            return {
-                "kind": "BadIdeal",
-                "ideal": members(self.ideal),
-                "decompositions": [
-                    [members(j1), members(j2)] for j1, j2 in self.decompositions
-                ],
-            }
         return {
-            "kind": "ForbiddenSubposet",
-            "pattern": self.pattern,
-            "embedding": list(self.embedding),
+            "kind": self.kind,
+            "ideal": members(self.ideal),
+            "decompositions": [
+                [members(j1), members(j2)] for j1, j2 in self.decompositions
+            ],
         }
 
 
@@ -224,8 +216,6 @@ def ci_test_counts(P: Poset) -> bool:
 def forbidden_scan(P: Poset):
     """First induced occurrence of a forbidden 4/5-element pattern, as
     (name, embedding), or None."""
-    from .fixtures import FORB1, FORB2, FORB3
-
     for name, Q in (("forb1", FORB1), ("forb2", FORB2), ("forb3", FORB3)):
         occurrences = induced_occurrences(P, Q)
         if occurrences:

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from cli_golden import FIXTURES, GOLDEN, capture, case_name, iter_cases, run_cli
+from ppart import cli
 from ppart.cli import main
+from ppart.errors import CapError, InputError, PPartError
 
 EX33 = str(FIXTURES / "ex33.poset")
 FIG1 = str(FIXTURES / "fig1.poset")
@@ -39,6 +41,25 @@ class TestExitCodes:
     def test_cap_exceeded(self):
         code, _ = run_cli(["extensions", FIG1, "--cap", "10"])
         assert code == 4
+
+    # Error classes unknown to the CLI get the exit code of their family.
+    @pytest.mark.parametrize("base,expected", [
+        (PPartError, 3), (InputError, 2), (CapError, 4),
+    ], ids=["PPartError", "InputError", "CapError"])
+    def test_exit_code_follows_error_family(self, base, expected, monkeypatch, capsys):
+        class NewError(base):
+            pass
+
+        def handler(P, args):
+            raise NewError("raised by a handler")
+
+        monkeypatch.setitem(cli._COMMANDS, "analyze", (handler, ()))
+        code = main(["analyze", P2])
+        out, err = capsys.readouterr()
+        assert code == expected
+        assert out == ""
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: ") and "raised by a handler" in err
 
     @staticmethod
     def _assert_input_error(argv, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from ppart import (
     ArgError,
+    BuildRecipe,
     FlavorError,
     InstabilityError,
     LabelError,
@@ -22,8 +23,8 @@ from ppart import (
     q_int,
     rational_sum_truncated,
 )
-from ppart.fixtures import EX33, FIG1, P1, P2, P3
-from ppart.series import normalize_grading
+from ppart.fixtures import EX33, FIG1, FORB1, FORB2, FORB3, P1, P2, P3
+from ppart.series import _hook_sizes, _numerator_at, _numerator_bounds, normalize_grading
 
 CHAIN2 = Poset(2, [(1, 2)])
 CHAIN3 = Poset(3, [(1, 2), (2, 3)])
@@ -306,6 +307,42 @@ class TestNumerator:
         # FIG1's numerator has x-degree 19, far above this truncation
         with pytest.raises(InstabilityError):
             numerator_polynomial(FIG1, 6)
+
+    # Truncations at which the N + 2 probe alone passes although the
+    # numerator has a term above N (x degrees 15, 15, 10, 8).
+    @pytest.mark.parametrize("P,N", [
+        *((FORB2, N) for N in (0, 1, 2, 10, 11, 12)),
+        *((FORB3, N) for N in (0, 1, 11, 12)),
+        *((EX33, N) for N in (0, 1, 2)),
+        *((FORB1, N) for N in (0, 1)),
+    ])
+    def test_probe_blind_spots_raise(self, P, N):
+        with pytest.raises(InstabilityError):
+            numerator_polynomial(P, N)
+
+    @pytest.fixture(scope="class")
+    def small_posets(self, posets3, posets4):
+        return [Poset(1), CHAIN2, Poset(2), *posets3, *posets4]
+
+    def test_degree_bounds(self, small_posets):
+        for P in small_posets:
+            lo, hi = _numerator_bounds(P)
+            g = _numerator_at(P, hi + 2)  # nothing may appear above hi
+            degree = max(sum(xs) for _, xs in g.coeffs)
+            assert lo <= degree <= hi, P
+            if isinstance(classify(P), BuildRecipe):
+                assert hi == sum(_hook_sizes(P)[0]), P
+
+    def test_exact_or_raises(self, small_posets):
+        for P in small_posets:
+            exact = _numerator_at(P, _numerator_bounds(P)[1])
+            degree = max(sum(xs) for _, xs in exact.coeffs)
+            for N in (0, 4, 5, 6, 8, 12):
+                if degree > N:
+                    with pytest.raises(InstabilityError):
+                        numerator_polynomial(P, N)
+                else:
+                    assert numerator_polynomial(P, N) == exact, (P, N)
 
 
 class TestHook:
