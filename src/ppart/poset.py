@@ -23,14 +23,12 @@ def mask_of(elements) -> int:
 
 
 def members(mask: int) -> list[int]:
-    """Sorted labels present in a bitmask."""
+    """Sorted labels present in a bitmask, lowest set bit first."""
     out = []
-    p = 1
     while mask:
-        if mask & 1:
-            out.append(p)
-        mask >>= 1
-        p += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return out
 
 
@@ -105,7 +103,17 @@ class Poset:
         return self._down_strict[a]
 
     def minimal_elements(self, mask: int) -> list[int]:
-        return [p for p in members(mask) if not (self._down_strict[p] & mask)]
+        """Minimal elements of the set, in ascending order."""
+        out = []
+        down = self._down_strict
+        m = mask
+        while m:
+            low = m & -m
+            p = low.bit_length()
+            if not down[p] & mask:
+                out.append(p)
+            m ^= low
+        return out
 
     def maximal_elements(self, mask: int) -> list[int]:
         return [p for p in members(mask) if not (self._up_strict[p] & mask)]
@@ -181,6 +189,7 @@ def hasse_components(P: Poset, mask: int) -> list[int]:
     is the statistic c_P of the set.
     """
     comps = []
+    adj = P._adj
     remaining = mask
     while remaining:
         seed = remaining & -remaining
@@ -188,8 +197,11 @@ def hasse_components(P: Poset, mask: int) -> list[int]:
         frontier = seed
         while frontier:
             grown = comp
-            for p in members(frontier):
-                grown |= P._adj[p] & mask
+            while frontier:
+                low = frontier & -frontier
+                grown |= adj[low.bit_length()]
+                frontier ^= low
+            grown &= mask
             frontier = grown & ~comp
             comp = grown
         comps.append(comp)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .extensions import DEFAULT_CAP, linear_extensions
+from .extensions import DEFAULT_CAP, _check_cap, fold_extensions
 from .partitions import _multiset_vector, delta_data
 from .poset import (
     Poset,
@@ -120,16 +120,34 @@ class SemigroupIdealData:
 
 
 def semigroup_ideal(P: Poset, cap: int = DEFAULT_CAP) -> SemigroupIdealData:
-    gens = set()
-    for ext in linear_extensions(P, cap=cap):
-        f = [0] * P.n
-        for i in ext.des_set:
-            for p in ext.w[:i]:
-                f[p - 1] += 1
-        gens.add(tuple(f))
+    """The distinct descent vectors sum_{i in Des(w)} 1_{w[:i]} over L(P),
+    by `fold_extensions` over sets of partial vectors.
+
+    A vector is packed into one integer, element 1 in the most
+    significant field, so adding the indicator of a prefix is one
+    addition and integer order is the lexicographic order of vectors.
+    Raises ExplosionError when more than cap extensions exist."""
+    _check_cap(P, cap)
+    width = P.n.bit_length()  # entries count descents, so stay below n
+    field = (1 << width) - 1
+    shift = [0] + [width * (P.n - p) for p in range(1, P.n + 1)]
+    spread = {}  # prefix ideal -> its packed indicator vector
+
+    def step(vectors, ideal, descent):
+        if not descent:
+            return vectors
+        s = spread.get(ideal)
+        if s is None:
+            s = spread[ideal] = sum(1 << shift[p] for p in members(ideal))
+        return {v + s for v in vectors}
+
+    packed = fold_extensions(P, {0}, step, set.union)
+    gens = tuple(
+        tuple((v >> shift[p]) & field for p in range(1, P.n + 1)) for v in sorted(packed)
+    )
     data = delta_data(P)
     principal = data.delta if data.satisfies_labelled_condition else None
-    return SemigroupIdealData(tuple(sorted(gens)), principal)
+    return SemigroupIdealData(gens, principal)
 
 
 # -- export -------------------------------------------------------------
