@@ -68,7 +68,9 @@ class PForest:
             masks[i] = m
             return m
 
-        return tuple(sorted((fill(i) for i in range(1, self.n + 1)), key=ideal_key))
+        ideals = [fill(i) for i in range(1, self.n + 1)]
+        del fill  # its closure cycle would keep masks alive until a full collection
+        return tuple(sorted(ideals, key=ideal_key))
 
 
 def _max_cliques(adj, nv):
@@ -93,6 +95,7 @@ def _max_cliques(adj, nv):
                 x |= bit
 
     expand(0, (1 << nv) - 1, 0)
+    del expand  # its closure cycle would keep out alive until a full collection
     return out
 
 

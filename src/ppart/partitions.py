@@ -162,6 +162,7 @@ def enumerate_partitions(P: Poset, flavor: str, max_total: int):
         f[p - 1] = 0
 
     assign(0, 0)
+    del assign  # its closure cycle would keep out alive until a full collection
     out.sort()
     return out
 

@@ -347,6 +347,7 @@ def induced_occurrences(P: Poset, Q: Poset) -> list[tuple[int, ...]]:
         image[q - 1] = 0
 
     extend(1, 0)
+    del extend  # its closure cycle would keep out alive until a full collection
     return out
 
 

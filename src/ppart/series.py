@@ -303,6 +303,7 @@ def _iter_trivial_multisets(P: Poset, N: int, weighted: bool):
                 chosen.pop()
 
     yield from rec(0, N, [])
+    del rec  # its closure cycle would outlive the walk until a full collection
 
 
 def _multiset_series(P: Poset, flavor: str, out: TruncSeries, key) -> TruncSeries:

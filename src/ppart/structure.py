@@ -292,6 +292,7 @@ def _classify(P: Poset, choose):
         return node
 
     root = build(P.full_mask)
+    del build  # its closure cycle would keep dup_pairs alive until a full collection
     recipe = BuildRecipe(root, frozenset(dup_pairs))
     rebuilt = recipe_poset(recipe)
     if rebuilt != P:

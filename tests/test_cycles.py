@@ -1,0 +1,60 @@
+"""The recursive enumerations free their results by reference counting.
+
+A nested function that calls itself forms a reference cycle through its
+closure, and that cycle keeps whatever the closure holds (typically the
+output list) alive until a full garbage collection.  When that comes
+depends on everything allocated before, so a process's peak memory would
+depend on where the collector happens to run.  Each enumeration breaks
+its cycle before returning; these tests check that a call leaves nothing
+for the collector.
+"""
+
+import gc
+
+import pytest
+
+from ppart import (
+    BuildRecipe,
+    PForest,
+    Poset,
+    classify,
+    delta_complex,
+    enumerate_partitions,
+    hilbert_truncated,
+    induced_occurrences,
+    linear_extensions,
+)
+from ppart.fixtures import FIG1, FORB1
+
+
+def fresh(P):
+    """A new Poset equal to P, with none of P's cached facts."""
+    return Poset(P.n, sorted(P.covers))
+
+
+CALLS = {
+    "enumerate_partitions": lambda: enumerate_partitions(FIG1, "weak", 6),
+    "linear_extensions": lambda: linear_extensions(FIG1),
+    "delta_complex": lambda: delta_complex(FIG1),
+    "induced_occurrences": lambda: induced_occurrences(FIG1, FORB1),
+    "classify": lambda: classify(fresh(FIG1)),
+    "principal_ideals": lambda: PForest((0, 1, 1, 2)).principal_ideals(),
+    "hilbert_truncated t": lambda: hilbert_truncated(FIG1, "weak", "t", 4),
+}
+
+
+def test_classify_builds_a_recipe():
+    assert isinstance(classify(fresh(FIG1)), BuildRecipe)
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_call_leaves_no_cycle(name):
+    CALLS[name]()  # warm caches on the fixture posets
+    gc.collect()
+    gc.disable()
+    try:
+        result = CALLS[name]()
+        del result
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
