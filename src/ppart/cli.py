@@ -10,6 +10,7 @@ byte-stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -297,15 +298,18 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and kept for the process:
+    parsing leaves it unchanged, and `main` looks each handler up in
+    `_COMMANDS` when it runs."""
     parser = argparse.ArgumentParser(
         prog="ppart",
         description="Poset partition toolkit: statistics, series, presentations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, options) in _COMMANDS.items():
+    for name, (_, options) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.set_defaults(handler=handler)
         p.add_argument("poset", help="path to a .poset file")
         for option in options:
             p.add_argument(option, **_OPTIONS[option])
@@ -313,15 +317,14 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     started = time.monotonic()
     try:
         P, digest = _load(args.poset)
-        payload = args.handler(P, args)
+        payload = _COMMANDS[args.command][0](P, args)
         _emit(args.command, digest, payload)
     except BrokenPipeError:
         # Point stdout at devnull so the interpreter's final flush of the

@@ -245,7 +245,7 @@ def principal_ideal(P: Poset, p: int) -> int:
     return P.down_strict(p) | (1 << (p - 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PiPair:
     """A pair of connected order ideals intersecting nontrivially."""
 

@@ -33,6 +33,8 @@ from .poset import (
     connected_ideals,
     hasse_components,
     is_naturally_labelled,
+    mask_of,
+    members,
     nontrivial_pairs,
     trivially_intersecting,
 )
@@ -383,36 +385,24 @@ def rational_sum_truncated(P: Poset, grading: str, N: int) -> TruncSeries:
 
 
 def numerator_polynomial(P: Poset, N: int = DEFAULT_TRUNC) -> TruncSeries:
-    """g with Hilb(gr R_P, t, x) = g(t,x) / prod_{J in J_conn}(1 - t x^J).
+    """g with Hilb(gr R_P, t, x) = g(t,x) / prod_{J in J_conn}(1 - t x^J),
+    a polynomial fixed by Pi alone (Prop 6.2; see `_flag_numerator`).
 
-    Computed as the truncated product, which is exact in every degree up
-    to its truncation.  When the poset classifies as a forest with
-    duplications the numerator degree is known exactly from the closed
-    product form.  For other posets the x degree lies in the range given
-    by `_numerator_bounds`: N below it raises at once, then a cheap probe
-    at N + 2 and, when that probe is below the upper bound, an exact
-    product at the upper bound must show no term above N.  The probe is
-    then the numerator, re-truncated at N.
+    Raises InstabilityError iff g has a term of x degree above N: at once
+    when N is below the lower bound of `_numerator_bounds`, else when g up
+    to N + 1, or up to the upper bound if that is above N + 1, has one.
     """
-    if isinstance(classify(P), BuildRecipe):
-        need = sum(_hook_sizes(P)[0])
-        if N < need:
-            raise InstabilityError(
-                f"numerator has degree {need}, above truncation {N}"
-            )
-        return _numerator_at(P, N)
     lo, hi = _numerator_bounds(P)
     if N < lo:
         raise InstabilityError(
             f"numerator has degree at least {lo}, above truncation {N}"
         )
-    probe = _numerator_at(P, N + 2)
-    if any(sum(k[1]) > N for k in probe.coeffs):
+    g = _flag_numerator(P, N + 1)
+    if any(sum(xs) > N for _, xs in g.coeffs):
         raise InstabilityError(f"numerator not stable at truncation {N}")
-    if N + 2 < hi and any(sum(k[1]) > N for k in _numerator_at(P, hi).coeffs):
+    if hi > N + 1 and any(sum(xs) > N for _, xs in _flag_numerator(P, hi).coeffs):
         raise InstabilityError(f"numerator has degree above truncation {N}")
-    g, _ = _graded(P, "tx", N)
-    g.coeffs = probe.coeffs  # every term is of x degree <= N
+    g.trunc = N  # every term is of x degree <= N
     return g
 
 
@@ -432,12 +422,42 @@ def _numerator_bounds(P: Poset) -> tuple[int, int]:
     return lo, sum(J.bit_count() for J in in_pairs)
 
 
-def _numerator_at(P: Poset, N: int) -> TruncSeries:
-    h = hilbert_truncated(P, WEAK, "tx", N)
-    _, key = _graded(P, "tx", N)
-    out = h
-    for J in connected_ideals(P):
-        out = out * h.one_minus(*key(_multiset_vector(P.n, ((J, 1),)), 1))
+def _flag_numerator(P: Poset, D: int) -> TruncSeries:
+    """g up to x degree D, by the pivot recursion for monomial ideals
+    (Bayer-Stillman, JSC 1992; Bigatti, JPAA 1997).  For a set S of
+    connected ideals, v in S and C the ideals of S whose pair with v is in Pi,
+    g(S) = (1 - m_v) g(S - v) + m_v prod_{u in C} (1 - m_u) g(S - v - C)
+    with m_J = t x^J; when C is empty this is g(S - v), so a cone point
+    drops out."""
+    conn = connected_ideals(P)  # vertex j is conn[j - 1], bit j - 1 of S
+    clash = [0] + [mask_of(k for k, K in enumerate(conn, 1)
+                           if not trivially_intersecting(J, K)) for J in conn]
+    memo = {0: {(0, (0,) * P.n): 1}}
+
+    def times(X, j, sign, acc):  # acc + sign * m_J * X for J = conn[j - 1], truncated
+        J = conn[j - 1]
+        room, xJ = D - J.bit_count(), _multiset_vector(P.n, ((J, 1),))
+        for (t, xs), c in X.items():
+            if sum(xs) <= room:
+                k = (t + 1, tuple(map(add, xs, xJ)))
+                acc[k] = acc.get(k, 0) + sign * c
+        return acc
+
+    def g(S):
+        S = mask_of(j for j in members(S) if clash[j] & S)  # drop the cone points
+        if S not in memo:
+            v = max(members(S), key=lambda j: (clash[j] & S).bit_count())
+            s_v = S & ~(1 << (v - 1))
+            rest, pivot = g(s_v), g(s_v & ~clash[v])
+            for u in members(clash[v] & S):
+                pivot = times(pivot, u, -1, dict(pivot))
+            out = times(rest, v, -1, times(pivot, v, 1, dict(rest)))
+            memo[S] = {k: c for k, c in out.items() if c}
+        return memo[S]
+
+    out = TruncSeries(P.n, D)
+    out.coeffs = g((1 << len(conn)) - 1)
+    del g  # its closure cycle would keep memo alive until a full collection
     return out
 
 

@@ -8,6 +8,7 @@ checks the equivalent ideal-counting characterizations.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import ArgError
@@ -23,6 +24,7 @@ from .poset import (
     nontrivial_pairs,
     pairs_among,
     principal_ideal,
+    trivially_intersecting,
 )
 
 # -- recipe tree --------------------------------------------------------
@@ -209,8 +211,15 @@ def ci_test_ideals(P: Poset) -> bool:
 
 
 def ci_test_counts(P: Poset) -> bool:
-    """True iff |J_conn(P)| - |Pi(P)| = n."""
-    return len(connected_ideals(P)) - len(nontrivial_pairs(P)) == P.n
+    """True iff |J_conn(P)| - |Pi(P)| = n.
+
+    The pairs of Pi are counted by mask tests alone, and only until the
+    count passes |J_conn| - n."""
+    conn = connected_ideals(P)
+    need = len(conn) - P.n  # >= 0: J_conn holds the n principal ideals
+    pairs = (1 for j1, j2 in itertools.combinations(conn, 2)
+             if not trivially_intersecting(j1, j2))
+    return sum(itertools.islice(pairs, need + 1)) == need
 
 
 def forbidden_scan(P: Poset):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -138,6 +139,19 @@ class TestExitCodes:
         assert code == 0
         assert out.startswith(f"usage: ppart {command} ")
         assert set(re.findall(r"--[a-z][a-z-]*", out)) == options | {"--help"}
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        main(["hook", P2])  # builds the parser if nothing has yet
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["hook", P2]) == 0
+        assert built == []
 
     def test_closed_stdout(self):
         # The read end is closed before the child starts, so its first

@@ -23,6 +23,7 @@ from ppart import (
     hilbert_truncated,
     induced_occurrences,
     linear_extensions,
+    numerator_polynomial,
 )
 from ppart.fixtures import FIG1, FORB1
 
@@ -40,6 +41,7 @@ CALLS = {
     "classify": lambda: classify(fresh(FIG1)),
     "principal_ideals": lambda: PForest((0, 1, 1, 2)).principal_ideals(),
     "hilbert_truncated t": lambda: hilbert_truncated(FIG1, "weak", "t", 4),
+    "numerator_polynomial": lambda: numerator_polynomial(FIG1, 20),
 }
 
 

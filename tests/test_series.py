@@ -12,6 +12,7 @@ from ppart import (
     Poset,
     TruncSeries,
     classify,
+    connected_ideals,
     duplication_product,
     hilbert_truncated,
     hook_count,
@@ -23,8 +24,11 @@ from ppart import (
     q_int,
     rational_sum_truncated,
 )
-from ppart.fixtures import EX33, FIG1, FORB1, FORB2, FORB3, P1, P2, P3
-from ppart.series import _hook_sizes, _numerator_at, _numerator_bounds, normalize_grading
+from conftest import random_posets
+from ppart import series
+from ppart.fixtures import BOWTIE, EX33, FIG1, FORB1, FORB2, FORB3, P1, P2, P3
+from ppart.partitions import WEAK, _multiset_vector
+from ppart.series import _graded, _hook_sizes, _numerator_bounds, normalize_grading
 
 CHAIN2 = Poset(2, [(1, 2)])
 CHAIN3 = Poset(3, [(1, 2), (2, 3)])
@@ -289,6 +293,18 @@ class TestRationalSum:
             rational_sum_truncated(P2, "q", 4)
 
 
+def _numerator_at(P, N):
+    """Oracle for the numerator: the weak (t,x) series of enumerated
+    P-partitions times prod_J (1 - t x^J), exact in every x degree up to
+    its truncation N."""
+    h = hilbert_truncated(P, WEAK, "tx", N)
+    _, key = _graded(P, "tx", N)
+    out = h
+    for J in connected_ideals(P):
+        out = out * h.one_minus(*key(_multiset_vector(P.n, ((J, 1),)), 1))
+    return out
+
+
 class TestNumerator:
     def test_ex33(self):
         g = numerator_polynomial(EX33, 12)
@@ -334,15 +350,32 @@ class TestNumerator:
                 assert hi == sum(_hook_sizes(P)[0]), P
 
     def test_exact_or_raises(self, small_posets):
-        for P in small_posets:
+        cases = [(P, (0, 4, 5, 6, 8, 12)) for P in small_posets]
+        cases += [
+            (P, (0, 1, 2, 4, 6, 8, 10, 11, 12, 14, 20))
+            for P in random_posets(5, 30, (5, 6))
+            + [FIG1, EX33, P1, P2, P3, FORB1, FORB2, FORB3, BOWTIE]
+        ]
+        for P, truncations in cases:
             exact = _numerator_at(P, _numerator_bounds(P)[1])
             degree = max(sum(xs) for _, xs in exact.coeffs)
-            for N in (0, 4, 5, 6, 8, 12):
+            for N in truncations:
                 if degree > N:
                     with pytest.raises(InstabilityError):
                         numerator_polynomial(P, N)
                 else:
                     assert numerator_polynomial(P, N) == exact, (P, N)
+
+    def test_one_path(self, monkeypatch):
+        # g comes from Pi alone: no classification, no enumeration
+        def forbidden(*args):
+            raise AssertionError("numerator_polynomial must not call this")
+
+        for name in ("classify", "hilbert_truncated", "enumerate_partitions"):
+            monkeypatch.setattr(series, name, forbidden)
+        g = numerator_polynomial(EX33, 12)
+        assert g == _ex33_numerator(g)
+        assert len(numerator_polynomial(FIG1, 20).coeffs) == 4
 
 
 class TestHook:

@@ -124,6 +124,20 @@ class TestCITests:
         assert len(connected_ideals(FIG1)) == 10
         assert len(nontrivial_pairs(FIG1)) == 2
 
+    def test_counts_pi_without_building_it(self, monkeypatch):
+        from ppart import poset, structure
+
+        def forbidden(*args):
+            raise AssertionError("ci_test_counts built an intersection")
+
+        for P in (FIG1, EX33, FORB2):
+            connected_ideals(P)  # J_conn itself is walked with components
+        for module in (poset, structure):
+            monkeypatch.setattr(module, "hasse_components", forbidden)
+        assert ci_test_counts(FIG1)
+        assert not ci_test_counts(EX33)
+        assert not ci_test_counts(FORB2)
+
     def test_count_side_never_exceeds_n(self, posets5):
         # the difference |J_conn| - |Pi| lands at n exactly for complete
         # intersections and can fall on either side in general; record
