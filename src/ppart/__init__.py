@@ -56,6 +56,7 @@ from .poset import (
     PiPair,
     Poset,
     connected_ideals,
+    count_ideals,
     enumerate_posets,
     hasse_components,
     induced_occurrences,

@@ -23,8 +23,8 @@ from .extensions import DEFAULT_CAP, count_extensions, linear_extensions, maj_po
 from .partitions import FLAVORS, STANDARD, WEAK, delta_data
 from .poset import (
     connected_ideals,
+    count_ideals,
     is_naturally_labelled,
-    iter_ideals,
     members,
     nontrivial_pairs,
     parse_poset,
@@ -86,7 +86,7 @@ def _cmd_analyze(P, args):
     return {
         "n": P.n,
         "covers": [list(c) for c in sorted(P.covers)],
-        "ideal_count": sum(1 for _ in iter_ideals(P)),
+        "ideal_count": count_ideals(P),
         "connected_ideals": [members(J) for J in connected_ideals(P)],
         "nontrivial_pairs": [
             [members(p.j1), members(p.j2)] for p in nontrivial_pairs(P)

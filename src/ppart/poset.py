@@ -7,7 +7,7 @@ Elements are labelled 1..n and subsets are stored as n-bit masks
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CycleError, PosetSyntaxError, RangeError
 
@@ -42,6 +42,7 @@ class Poset:
 
     J_conn and the default classification are computed on first use and
     kept on the instance (see connected_ideals and structure.classify).
+    Neither walks the ideal lattice J(P).
     """
 
     def __init__(self, n: int, relations=()):
@@ -228,14 +229,59 @@ def iter_ideals(P: Poset):
         frontier = nxt
 
 
+def count_ideals(P: Poset) -> int:
+    """|J(P)|, the empty ideal included, without walking J(P).
+
+    For x maximal in S, |J(S)| = |J(S - x)| + |J(S - down(x))|: the
+    ideals without x, and those with all of down(x).  Every set met is
+    convex, so its cover components are its comparability components and
+    its count is the product of theirs.  Memoized by component mask."""
+    memo = {}
+    up, down = P._up_strict, P._down_strict
+
+    def count(S):
+        total = 1
+        for comp in hasse_components(P, S):
+            c = memo.get(comp)
+            if c is None:
+                x = next(p for p in members(comp) if not up[p] & comp)
+                without = comp & ~(1 << (x - 1))
+                c = memo[comp] = count(without) + count(without & ~down[x])
+            total *= c
+        return total
+
+    total = count(P.full_mask)
+    del count  # its closure cycle would keep memo alive until a full collection
+    return total
+
+
 def connected_ideals(P: Poset) -> list[int]:
     """All nonempty connected order ideals, sorted by (size, mask).
 
-    J(P) is walked once per Poset object; each call returns a new list.
+    A nonempty ideal is connected iff it is a union of principal ideals
+    whose overlap graph is connected: a cover a < b inside the ideal lies
+    in the principal ideal of any element above b, so two principal
+    ideals with a connected union must meet.  J_conn is therefore grown
+    from the n principal ideals by adding each principal ideal that
+    meets the current one without lying inside it, at about |J_conn| * n
+    mask operations; J(P) is never walked.  Computed once per Poset
+    object; each call returns a new list.
     """
     if P._jconn is None:
-        conn = [J for J in iter_ideals(P) if J and len(hasse_components(P, J)) == 1]
-        P._jconn = tuple(sorted(conn, key=ideal_key))
+        principal = [principal_ideal(P, p) for p in range(1, P.n + 1)]
+        seen = set(principal)
+        frontier = list(seen)
+        while frontier:
+            nxt = []
+            for ideal in frontier:
+                for D in principal:
+                    if D & ideal and D & ~ideal:
+                        grown = ideal | D
+                        if grown not in seen:
+                            seen.add(grown)
+                            nxt.append(grown)
+            frontier = nxt
+        P._jconn = tuple(sorted(seen, key=ideal_key))
     return list(P._jconn)
 
 
@@ -245,8 +291,7 @@ def principal_ideal(P: Poset, p: int) -> int:
     return P.down_strict(p) | (1 << (p - 1))
 
 
-@dataclass(frozen=True, slots=True)
-class PiPair:
+class PiPair(NamedTuple):
     """A pair of connected order ideals intersecting nontrivially."""
 
     j1: int
@@ -274,12 +319,21 @@ def nontrivial_pairs(P: Poset) -> list[PiPair]:
 
 def pairs_among(P: Poset, conn) -> list[PiPair]:
     """The pairs of Pi(P) with both members in conn, a list of connected
-    ideals sorted by ideal_key (so j1 precedes j2 in every pair)."""
-    return [
-        PiPair(j1, j2, j1 | j2, tuple(hasse_components(P, j1 & j2)))
-        for j1, j2 in itertools.combinations(conn, 2)
-        if not trivially_intersecting(j1, j2)
-    ]
+    ideals sorted by ideal_key (so j1 precedes j2 in every pair).
+
+    The components of each distinct intersection are computed once and
+    shared by every pair with that intersection."""
+    components = {}
+    new = tuple.__new__  # skips the NamedTuple constructor's argument handling
+    out = []
+    for j1, j2 in itertools.combinations(conn, 2):
+        inter = j1 & j2
+        if inter and inter != j1 and inter != j2:
+            comps = components.get(inter)
+            if comps is None:
+                comps = components[inter] = tuple(hasse_components(P, inter))
+            out.append(new(PiPair, (j1, j2, j1 | j2, comps)))
+    return out
 
 
 # -- labelling ----------------------------------------------------------

@@ -18,7 +18,7 @@ import itertools
 import math
 from operator import add
 
-from .errors import ArgError, InstabilityError, LabelError, NotFWDError
+from .errors import ArgError, CapError, InstabilityError, LabelError, NotFWDError
 from .extensions import fold_extensions
 from .partitions import (
     WEAK,
@@ -456,8 +456,16 @@ def _flag_numerator(P: Poset, D: int) -> TruncSeries:
         return memo[S]
 
     out = TruncSeries(P.n, D)
-    out.coeffs = g((1 << len(conn)) - 1)
-    del g  # its closure cycle would keep memo alive until a full collection
+    try:
+        out.coeffs = g((1 << len(conn)) - 1)
+    except RecursionError:
+        non_cone = sum(1 for c in clash if c)
+        raise CapError(
+            f"numerator recursion over {non_cone} non-cone connected"
+            " ideals exceeds the interpreter's recursion limit"
+        ) from None
+    finally:
+        del g  # its closure cycle would keep memo alive until a full collection
     return out
 
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -232,6 +233,15 @@ class TestPayloads:
         code, _ = run_cli(["complex", FIG1])
         assert code == 0
         assert len(runs) == 1
+
+    def test_analyze_counts_ideals_without_walking_them(self, tmp_path):
+        poset = tmp_path / "antichain22.poset"
+        poset.write_text("n 22\n")
+        start = time.perf_counter()
+        code, out = run_cli(["analyze", str(poset)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert '"ideal_count": 4194304' in out
 
     def test_m2_out_file(self, tmp_path):
         target = tmp_path / "out.m2"

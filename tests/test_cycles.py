@@ -18,11 +18,14 @@ from ppart import (
     PForest,
     Poset,
     classify,
+    connected_ideals,
+    count_ideals,
     delta_complex,
     enumerate_partitions,
     hilbert_truncated,
     induced_occurrences,
     linear_extensions,
+    nontrivial_pairs,
     numerator_polynomial,
 )
 from ppart.fixtures import FIG1, FORB1
@@ -39,6 +42,9 @@ CALLS = {
     "delta_complex": lambda: delta_complex(FIG1),
     "induced_occurrences": lambda: induced_occurrences(FIG1, FORB1),
     "classify": lambda: classify(fresh(FIG1)),
+    "connected_ideals": lambda: connected_ideals(fresh(FIG1)),
+    "nontrivial_pairs": lambda: nontrivial_pairs(fresh(FIG1)),
+    "count_ideals": lambda: count_ideals(FIG1),
     "principal_ideals": lambda: PForest((0, 1, 1, 2)).principal_ideals(),
     "hilbert_truncated t": lambda: hilbert_truncated(FIG1, "weak", "t", 4),
     "numerator_polynomial": lambda: numerator_polynomial(FIG1, 20),

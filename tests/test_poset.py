@@ -1,5 +1,10 @@
+import dataclasses
+import itertools
+
 import pytest
 
+import ppart.poset
+from conftest import random_posets
 from ppart import (
     CycleError,
     PiPair,
@@ -7,6 +12,7 @@ from ppart import (
     PosetSyntaxError,
     RangeError,
     connected_ideals,
+    count_ideals,
     enumerate_posets,
     hasse_components,
     induced_occurrences,
@@ -22,9 +28,31 @@ from ppart import (
     trivially_intersecting,
 )
 from ppart.fixtures import EX33, FIG1, FORB1, FORB3, P1, P2, P3
+from ppart.poset import ideal_key
 
 CHAIN3 = Poset(3, [(1, 2), (2, 3)])
 ANTICHAIN3 = Poset(3, [])
+TREE14 = Poset(14, [(k // 2, k) for k in range(2, 15)])  # root at the bottom
+
+
+def walked_connected_ideals(P):
+    """J_conn by filtering all of J(P), the oracle for connected_ideals."""
+    conn = [J for J in iter_ideals(P) if J and len(hasse_components(P, J)) == 1]
+    return sorted(conn, key=ideal_key)
+
+
+@dataclasses.dataclass(frozen=True)
+class DataclassPair:
+    """The record Pi pairs were before they became named tuples."""
+
+    j1: int
+    j2: int
+    union: int
+    intersection_components: tuple[int, ...]
+
+    @property
+    def intersection(self):
+        return self.j1 & self.j2
 
 
 def msk(*elems):
@@ -114,6 +142,29 @@ class TestIdeals:
     def test_antichain_connected_ideals(self):
         assert connected_ideals(ANTICHAIN3) == [msk(1), msk(2), msk(3)]
 
+    def test_growth_equals_walk_small(self, posets5):
+        for P in [*(P for n in range(1, 5) for P in enumerate_posets(n)), *posets5]:
+            assert connected_ideals(P) == walked_connected_ideals(P), P
+
+    def test_growth_equals_walk_random(self):
+        for P in random_posets(11, 200, range(6, 13)):
+            assert connected_ideals(P) == walked_connected_ideals(P), P
+
+    def test_growth_walks_no_ideal_lattice(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("connected_ideals must not call this")
+
+        for name in ("iter_ideals", "hasse_components"):
+            monkeypatch.setattr(ppart.poset, name, forbidden)
+        fresh = Poset(14, sorted(TREE14.covers))  # no J_conn kept on it yet
+        assert len(connected_ideals(fresh)) == 416
+
+    def test_count_ideals(self, posets5):
+        for P in [*posets5, *random_posets(12, 100, range(6, 13))]:
+            assert count_ideals(P) == sum(1 for _ in iter_ideals(P)), P
+        assert count_ideals(Poset(22)) == 1 << 22
+        assert count_ideals(Poset(64)) == 1 << 64
+
     def test_completeness_brute_force(self):
         # no nonempty connected ideal missed, checked over all subsets
         for P in (EX33, FIG1, P2, FORB1):
@@ -153,6 +204,43 @@ class TestPairs:
                 assert not trivially_intersecting(pr.j1, pr.j2)
                 for comp in pr.intersection_components:
                     assert comp in conn
+
+    def test_one_component_walk_per_intersection(self, monkeypatch):
+        calls = []
+        walk = ppart.poset.hasse_components
+
+        def counting(Q, mask):
+            calls.append(mask)
+            return walk(Q, mask)
+
+        monkeypatch.setattr(ppart.poset, "hasse_components", counting)
+        pairs = nontrivial_pairs(TREE14)
+        assert len(calls) == len(set(calls)) == len({pr.intersection for pr in pairs})
+        assert len(pairs) == 64536 > len(calls)
+
+    @pytest.mark.parametrize("P", [FIG1, EX33, TREE14], ids=["fig1", "ex33", "tree14"])
+    def test_records_match_dataclass(self, P):
+        old = [
+            DataclassPair(j1, j2, j1 | j2, tuple(hasse_components(P, j1 & j2)))
+            for j1, j2 in itertools.combinations(connected_ideals(P), 2)
+            if not trivially_intersecting(j1, j2)
+        ]
+        new = nontrivial_pairs(P)
+        assert len(new) == len(old)
+        for pr, ref in zip(new, old):
+            assert isinstance(pr, PiPair)
+            assert dataclasses.astuple(ref) == tuple(pr)
+            assert (pr.j1, pr.j2, pr.union, pr.intersection_components,
+                    pr.intersection) == (ref.j1, ref.j2, ref.union,
+                                         ref.intersection_components,
+                                         ref.intersection)
+
+    def test_record_is_immutable(self):
+        pr = nontrivial_pairs(EX33)[0]
+        with pytest.raises(AttributeError):
+            pr.j1 = 0
+        with pytest.raises(AttributeError):
+            pr.extra = 0
 
 
 class TestPrincipal:

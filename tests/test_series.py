@@ -1,10 +1,13 @@
+import inspect
 import random
+import sys
 
 import pytest
 
 from ppart import (
     ArgError,
     BuildRecipe,
+    CapError,
     FlavorError,
     InstabilityError,
     LabelError,
@@ -376,6 +379,21 @@ class TestNumerator:
         g = numerator_polynomial(EX33, 12)
         assert g == _ex33_numerator(g)
         assert len(numerator_polynomial(FIG1, 20).coeffs) == 4
+
+    def test_deep_recursion_is_a_cap_error(self):
+        # The recursion is as deep as the non-cone ideals along its S - v
+        # chain; past the interpreter's limit it ends in a CapError, never
+        # a RecursionError.  A low limit stands in for a large poset.
+        tree = Poset(8, [(k // 2, k) for k in range(2, 9)])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 30)
+        try:
+            with pytest.raises(CapError, match="over 33 non-cone"):
+                numerator_polynomial(tree, 20)
+        finally:
+            sys.setrecursionlimit(limit)
+        with pytest.raises(InstabilityError):  # the result at the full limit
+            numerator_polynomial(tree, 20)
 
 
 class TestHook:
