@@ -20,7 +20,7 @@ import time
 from . import errors
 from .complexes import DEFAULT_VERTEX_CAP, forest_consistency
 from .extensions import DEFAULT_CAP, count_extensions, linear_extensions, maj_polynomial
-from .partitions import FLAVORS, STANDARD, WEAK, delta_data
+from .partitions import FLAVORS, STANDARD, WEAK, delta_data, enumerate_partitions
 from .poset import (
     connected_ideals,
     count_ideals,
@@ -200,13 +200,16 @@ def _cmd_selftest(P, args):
         if not is_naturally_labelled(P):
             return True
         mp = maj_polynomial(P, cap=args.cap)
-        # Only degrees <= mp.degree of the product are compared.
-        h = hilbert_truncated(P, STANDARD, "q", mp.degree)
-        prod = h.one_like()
+        # The standard vectors counted by |f| directly, not by
+        # hilbert_truncated (which computes them from maj), times
+        # (1 - q)(1 - q^2)...(1 - q^n), up to the degree of maj.
+        c = [0] * (mp.degree + 1)
+        for f in enumerate_partitions(P, STANDARD, mp.degree):
+            c[sum(f)] += 1
         for i in range(1, P.n + 1):
-            prod = prod * h.one_minus(0, (i,))
-        lhs = prod * h
-        return all(lhs.coeffs.get((0, (d,)), 0) == mp[d] for d in range(mp.degree + 1))
+            for d in range(mp.degree, i - 1, -1):
+                c[d] -= c[d - i]
+        return tuple(c) == mp.coeffs
 
     def thm42():
         result = classify(P)

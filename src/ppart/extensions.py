@@ -5,7 +5,7 @@ the last element of the prefix w[:i] and the next one, and the descent
 statistics of this package add at a descent a term that depends only on
 i and the prefix ideal.  So they can be summed over the states (ideal,
 last element) of the ideal lattice instead of over L(P) (Stanley,
-Ordered structures and partitions, 1972): see `fold_extensions`.
+Ordered structures and partitions, 1972): see `fold_levels`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from functools import reduce
 from operator import add
 
 from .errors import ExplosionError
-from .poset import Poset, hasse_components, mask_of
+from .partitions import delta_data
+from .poset import Poset, hasse_components, mask_of, members
 from .qpoly import QPolynomial
 
 DEFAULT_CAP = 10_000_000
@@ -83,34 +84,46 @@ def linear_extensions(P: Poset, cap: int = DEFAULT_CAP) -> list[LinearExtension]
     return out
 
 
-def fold_extensions(P: Poset, start, step, merge):
-    """Fold a value along every linear extension of P at once.
+def fold_levels(P: Poset, start, step, merge, depth: int) -> dict:
+    """The states (I, last) with |I| = depth and the values folded into
+    them along every prefix of a linear extension of P.
 
-    The states are pairs (I, last): an order ideal I listed by a prefix
-    that ends in last (0 for the empty prefix).  Appending a minimal
-    element p of the complement moves (I, last) to (I + p, p), with a
-    descent at position |I| when last > p.  step(v, I, descent) is the
-    value carried along such an edge; it is called at most once per
-    state and kind of edge.  merge adds the values reaching one state
-    and must not change its arguments.  Returns the merged value of the
-    full ideal.  The walk keeps two levels of states, never L(P).
+    A state is an order ideal I listed by a prefix that ends in last (0
+    for the empty prefix).  Appending a minimal element p of the
+    complement moves (I, last) to (I + p, p), with a descent at position
+    |I| when last > p.  step(v, I, descent) is the value carried along
+    such an edge, or None to drop it; it is called at most once per state
+    and kind of edge.  merge adds the values reaching one state and must
+    not change its arguments.  Only ideals of fewer than depth elements
+    are expanded, and the walk keeps two levels of states, never L(P).
+    Returns {I: {last: value}}.
     """
     level = {0: {0: start}}
-    for _ in range(P.n):
+    for _ in range(depth):
         nxt: dict[int, dict] = {}
         for ideal, states in level.items():
+            if not states:  # every value reaching it was dropped
+                continue
             moves = P.minimal_elements(P.full_mask & ~ideal)
             targets = [(p, nxt.setdefault(ideal | (1 << (p - 1)), {})) for p in moves]
             for last, v in states.items():
                 carried = {}
                 for p, target in targets:
                     descent = last > p
-                    u = carried.get(descent)
-                    if u is None:
+                    if descent in carried:
+                        u = carried[descent]
+                    else:
                         u = carried[descent] = step(v, ideal, descent)
-                    target[p] = merge(target[p], u) if p in target else u
+                    if u is not None:
+                        target[p] = merge(target[p], u) if p in target else u
         level = nxt
-    return reduce(merge, level[P.full_mask].values())
+    return level
+
+
+def fold_extensions(P: Poset, start, step, merge):
+    """Fold a value along every linear extension of P at once: the merged
+    value of the full ideal after `fold_levels` over all n levels."""
+    return reduce(merge, fold_levels(P, start, step, merge, P.n)[P.full_mask].values())
 
 
 def count_extensions(P: Poset) -> int:
@@ -132,20 +145,61 @@ def count_extensions(P: Poset) -> int:
 
 
 def maj_polynomial(P: Poset, cap: int = DEFAULT_CAP) -> QPolynomial:
-    """Sum over L(P) of q^maj(w), by `fold_extensions`: a descent at
-    position |I| shifts the state's coefficient list by |I|.
+    """Sum over L(P) of q^maj(w), by `maj_coefficients` up to the largest
+    maj, n(n-1)/2.
 
     Raises ExplosionError when more than cap extensions exist."""
     _check_cap(P, cap)
-    size = P.n * (P.n - 1) // 2 + 1  # maj <= n(n-1)/2
+    return QPolynomial(tuple(maj_coefficients(P, P.n * (P.n - 1) // 2)))
+
+
+def maj_coefficients(P: Poset, N: int) -> list[int]:
+    """The coefficients of q^0..q^N of the sum over L(P) of q^maj(w).
+
+    By `fold_levels`: a descent at position |I| shifts the state's
+    coefficient list by |I|, and a state is dropped once none of its
+    coefficients can end at or below N.  After a prefix I of k elements,
+    a listing u of the rest R adds k des(u) + maj(u) to maj.  By Stanley's
+    theorem the least maj(u) is the least |f| over R's standard vectors,
+    the sum of delta over R (see `delta_data`), and des(u) >= delta(a) for
+    every a in R: each label-decreasing cover on a chain up from a puts a
+    descent between its two ends.
+
+    A descent past position N adds more than N, so the walk stops at
+    |I| = N + 1.  A state kept there has delta 0 on its rest R (else it
+    was dropped at |I| = N), so no cover in R falls in label and R in
+    increasing label order is a linear extension: the state's one
+    descent-free completion, which counts if it begins above last.  No
+    cap applies, since no extension is listed and at most the ideals of
+    up to N + 1 elements are visited."""
+    size = N + 1
+    prune = N < P.n * (P.n - 1) // 2  # else no state can be dropped
+    delta = (0,) + delta_data(P).delta if prune else ()
+    bounded = any(delta)  # else every rest may add nothing
+    forced = {}  # ideal -> the least maj its rest adds
 
     def step(coeffs, ideal, descent):
-        if not descent:
-            return coeffs
         k = ideal.bit_count()
-        return [0] * k + coeffs[: size - k]
+        if prune:
+            least = k if descent else 0
+            if bounded:
+                tail = forced.get(ideal)
+                if tail is None:
+                    deltas = [delta[a] for a in members(P.full_mask & ~ideal)]
+                    tail = forced[ideal] = k * max(deltas) + sum(deltas)
+                least += tail
+            if least and (least > N or not any(coeffs[: size - least])):
+                return None
+        return [0] * k + coeffs[: size - k] if descent else coeffs
 
     def merge(a, b):
         return list(map(add, a, b))
 
-    return QPolynomial(tuple(fold_extensions(P, [1] + [0] * (size - 1), step, merge)))
+    total = [0] * size
+    for ideal, states in fold_levels(P, [1] + [0] * N, step, merge, min(P.n, size)).items():
+        rest = P.full_mask & ~ideal
+        first = (rest & -rest).bit_length() or P.n + 1  # P.n + 1 when rest is empty
+        for last, coeffs in states.items():
+            if last < first:
+                total = merge(total, coeffs)
+    return total

@@ -12,7 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FlavorError
-from .poset import Poset, hasse_components, ideal_key, lex_min_extension, members
+from .poset import (
+    Poset,
+    hasse_components,
+    ideal_key,
+    is_naturally_labelled,
+    lex_min_extension,
+    members,
+    natural_relabel,
+)
 
 WEAK = "weak"
 STANDARD = "standard"
@@ -34,6 +42,20 @@ def _cover_ok(flavor: str, a: int, b: int, fa: int, fb: int) -> bool:
 def _check_flavor(flavor: str) -> None:
     if flavor not in FLAVORS:
         raise FlavorError(f"unknown flavor {flavor!r}")
+
+
+def flavor_labelling(P: Poset, flavor: str) -> Poset:
+    """P relabelled so that its standard vectors are P's vectors of the
+    flavor, relabelled alike: along a natural labelling for weak (no
+    cover drops strictly), P itself for standard, and along the reverse
+    of a natural labelling for strict (every cover drops strictly)."""
+    _check_flavor(flavor)
+    if flavor == STANDARD or (flavor == WEAK and is_naturally_labelled(P)):
+        return P
+    Q, perm = natural_relabel(P)
+    if flavor == WEAK:
+        return Q
+    return Poset(P.n, [(P.n + 1 - perm[a - 1], P.n + 1 - perm[b - 1]) for a, b in P.covers])
 
 
 def satisfies(P: Poset, f, flavor: str) -> bool:

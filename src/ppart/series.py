@@ -19,13 +19,14 @@ import math
 from operator import add
 
 from .errors import ArgError, CapError, InstabilityError, LabelError, NotFWDError
-from .extensions import fold_extensions
+from .extensions import fold_extensions, maj_coefficients
 from .partitions import (
     WEAK,
     _check_flavor,
     _multiset_vector,
     connected_decomposition,
     enumerate_partitions,
+    flavor_labelling,
     satisfies,
 )
 from .poset import (
@@ -336,18 +337,38 @@ def initial_quotient_hilbert(P: Poset, grading: str, N: int) -> TruncSeries:
 
 def hilbert_truncated(P: Poset, flavor: str, grading: str, N: int) -> TruncSeries:
     """Sum of t^nu(f) x^f over value vectors of the given flavor,
-    truncated at total x degree N (or nu <= N for the pure t grading)."""
+    truncated at total x degree N (or nu <= N for the pure t grading).
+
+    The q grading (and the x grading of a one-element poset, whose keys
+    are the same) counts vectors by |f| alone, by Stanley's theorem (see
+    `_stanley_q`); the x, (t,x) and (t,q) gradings enumerate the vectors."""
     _check_flavor(flavor)
     out, key = _graded(P, grading, N)
     if not out.nx:
         # Enumerating by |f| is hopeless when only nu is bounded.
         return _multiset_series(P, flavor, out, key)
+    if out.nx == 1 and not out.has_t:
+        out.coeffs = _stanley_q(P, flavor, N)
+        return out
     counts = {}  # every enumerated f has |f| <= N, within the truncation
     for f in enumerate_partitions(P, flavor, N):
         k = key(f, connected_decomposition(P, f).nu if out.has_t else 0)
         counts[k] = counts.get(k, 0) + 1
     out.coeffs = counts
     return out
+
+
+def _stanley_q(P: Poset, flavor: str, N: int) -> dict:
+    """Coefficients of q^0..q^N of the sum of q^|f| over the vectors of
+    the flavor, as TruncSeries keys: W(q) / ((1 - q)(1 - q^2)...(1 - q^n))
+    with W the maj polynomial of `flavor_labelling` (Stanley, Ordered
+    structures and partitions, 1972), W truncated at N by
+    `maj_coefficients` and divided one factor at a time."""
+    c = maj_coefficients(flavor_labelling(P, flavor), N)
+    for i in range(1, P.n + 1):
+        for d in range(i, N + 1):
+            c[d] += c[d - i]
+    return {(0, (d,)): v for d, v in enumerate(c) if v}
 
 
 def rational_sum_truncated(P: Poset, grading: str, N: int) -> TruncSeries:

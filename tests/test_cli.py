@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,8 @@ from cli_golden import FIXTURES, GOLDEN, capture, case_name, iter_cases, run_cli
 from ppart import cli
 from ppart.cli import main
 from ppart.errors import CapError, InputError, PPartError
+from ppart.partitions import enumerate_partitions
+from ppart.poset import parse_poset
 
 EX33 = str(FIXTURES / "ex33.poset")
 FIG1 = str(FIXTURES / "fig1.poset")
@@ -242,6 +245,19 @@ class TestPayloads:
         assert time.perf_counter() - start < 1.0
         assert code == 0
         assert '"ideal_count": 4194304' in out
+
+    @pytest.mark.parametrize("flavor", ["weak", "standard", "strict"])
+    def test_hilbert_q_on_a_tree_matches_the_enumeration(self, tmp_path, flavor):
+        # 18-element binary tree with its root on top (k hangs below k // 2)
+        poset = tmp_path / "tree18.poset"
+        poset.write_text("n 18\n" + "".join(f"{k} {k // 2}\n" for k in range(2, 19)))
+        code, out = run_cli(["hilbert", str(poset), "--flavor", flavor,
+                             "--grading", "q", "--trunc", "8"])
+        assert code == 0
+        counts = Counter(sum(f) for f in enumerate_partitions(parse_poset(poset.read_text()),
+                                                              flavor, 8))
+        expect = [[0, [d], counts[d]] for d in sorted(counts)]
+        assert json.loads(out)["results"]["series"]["terms"] == expect
 
     def test_m2_out_file(self, tmp_path):
         target = tmp_path / "out.m2"

@@ -21,6 +21,7 @@ from ppart import (
     rational_sum_truncated,
     semigroup_ideal,
 )
+from ppart.extensions import maj_coefficients
 from ppart.fixtures import EX33, FIG1, P1, P2
 from ppart.partitions import _multiset_vector
 from ppart.series import _graded
@@ -164,6 +165,15 @@ class TestFoldOracle:
     def test_maj(self, small, random_sample):
         for P in small + random_sample:
             assert maj_polynomial(P) == _maj_by_enumeration(P), P
+
+    def test_maj_truncated(self, small, random_sample):
+        # below the largest maj the walk stops at N + 1 and completes each
+        # state by the descent-free rest, if there is one
+        for P in small[::5] + random_sample:
+            full = list(_maj_by_enumeration(P).coeffs)
+            for N in range(len(full) + 1):
+                want = (full + [0] * N)[: N + 1]
+                assert maj_coefficients(P, N) == want, (P, N)
 
     def test_semigroup_generators(self, small, random_sample):
         for P in small + random_sample:

@@ -1,6 +1,8 @@
 import inspect
+import math
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -8,6 +10,7 @@ from ppart import (
     ArgError,
     BuildRecipe,
     CapError,
+    ExplosionError,
     FlavorError,
     InstabilityError,
     LabelError,
@@ -16,11 +19,15 @@ from ppart import (
     TruncSeries,
     classify,
     connected_ideals,
+    count_ideals,
     duplication_product,
+    enumerate_partitions,
+    enumerate_posets,
     hilbert_truncated,
     hook_count,
     hook_formula,
     initial_quotient_hilbert,
+    is_naturally_labelled,
     koszul_inverse,
     maj_polynomial,
     numerator_polynomial,
@@ -28,11 +35,13 @@ from ppart import (
     rational_sum_truncated,
 )
 from conftest import random_posets
-from ppart import series
+from ppart import extensions, series
+from ppart.extensions import DEFAULT_CAP
 from ppart.fixtures import BOWTIE, EX33, FIG1, FORB1, FORB2, FORB3, P1, P2, P3
 from ppart.partitions import WEAK, _multiset_vector
 from ppart.series import _graded, _hook_sizes, _numerator_bounds, normalize_grading
 
+FIXTURES = [P1, P2, P3, FORB1, FORB2, FORB3, BOWTIE, EX33, FIG1]
 CHAIN2 = Poset(2, [(1, 2)])
 CHAIN3 = Poset(3, [(1, 2), (2, 3)])
 
@@ -264,6 +273,100 @@ class TestHilbert:
                 s = std.coeffs.get((0, (d,)), 0)
                 t = strict.coeffs.get((0, (d,)), 0)
                 assert t <= s <= w
+
+
+def _q_by_enumeration(P, flavor, N):
+    """The q series the plain way: the vectors of the flavor counted by |f|."""
+    counts = Counter(sum(f) for f in enumerate_partitions(P, flavor, N))
+    return {(0, (d,)): c for d, c in counts.items()}
+
+
+def _expanded_sizes(monkeypatch):
+    """The sizes of the ideals that the (ideal, last) walk expands from
+    now on: those whose complements it asks P.minimal_elements for."""
+    sizes = []
+    walk = extensions.fold_levels
+
+    def counting_walk(P, *args):
+        minimal = P.minimal_elements
+
+        def counting(mask):
+            sizes.append(P.n - mask.bit_count())
+            return minimal(mask)
+
+        monkeypatch.setattr(P, "minimal_elements", counting)
+        return walk(P, *args)
+
+    monkeypatch.setattr(extensions, "fold_levels", counting_walk)
+    return sizes
+
+
+class TestStanleyQ:
+    """The q grading, W(q) / (q)_n over the (ideal, last) states, against
+    the enumeration it replaced, in all three flavors."""
+
+    FLAVORS = ("weak", "standard", "strict")
+
+    def test_every_small_poset(self):
+        for n in range(1, 5):
+            for P in enumerate_posets(n):
+                for flavor in self.FLAVORS:
+                    for N in (0, 1, 5, 9):
+                        got = hilbert_truncated(P, flavor, "q", N)
+                        assert got.coeffs == _q_by_enumeration(P, flavor, N), (P, flavor, N)
+
+    def test_random_posets(self):
+        posets = random_posets(11, 40, (5, 6, 7, 8))
+        # shuffled labels: most of these are not naturally labelled
+        assert sum(not is_naturally_labelled(P) for P in posets) >= 20
+        for P in posets:
+            for flavor in self.FLAVORS:
+                got = hilbert_truncated(P, flavor, "q", 7)
+                assert got.coeffs == _q_by_enumeration(P, flavor, 7), (P, flavor)
+
+    def test_fixtures(self):
+        for P in FIXTURES:
+            for flavor in self.FLAVORS:
+                got = hilbert_truncated(P, flavor, "q", 12)
+                assert got.coeffs == _q_by_enumeration(P, flavor, 12), (P, flavor)
+
+    def test_antichain_above_the_extension_cap(self, monkeypatch):
+        # 14! linear extensions, far above the cap, which the q path never
+        # lists; each element is a free part, so the series is 1/(1 - q)^14.
+        P = Poset(14)
+        assert math.factorial(14) > DEFAULT_CAP
+        with pytest.raises(ExplosionError):
+            maj_polynomial(P)
+        sizes = _expanded_sizes(monkeypatch)
+        got = hilbert_truncated(P, "weak", "q", 6)
+        assert got.coeffs == {(0, (d,)): math.comb(d + 13, 13) for d in range(7)}
+        assert max(sizes) <= 6 + 1
+        assert len(sizes) < count_ideals(P)
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("N", [0, 3, 8])
+    def test_walk_stops_at_n_plus_one(self, monkeypatch, flavor, N):
+        # two 6-element chains: 49 ideals, of up to 12 elements
+        P = Poset(12, [(i, i + 1) for i in (1, 2, 3, 4, 5, 7, 8, 9, 10, 11)])
+        sizes = _expanded_sizes(monkeypatch)
+        got = hilbert_truncated(P, flavor, "q", N)
+        assert sizes and max(sizes) <= N + 1
+        monkeypatch.undo()
+        assert got.coeffs == _q_by_enumeration(P, flavor, N)
+
+    @pytest.mark.parametrize("flavor, P", [
+        # a 10-chain: a strict vector has |f| >= 0 + 1 + ... + 9 = 45
+        ("strict", Poset(10, [(i, i + 1) for i in range(1, 10)])),
+        # the root-at-top 18-tree, labels falling along every cover: a
+        # standard vector has |f| >= the sum of the depths, 46
+        ("standard", Poset(18, [(k, k // 2) for k in range(2, 19)])),
+    ], ids=["chain10-strict", "tree18-standard"])
+    def test_hopeless_states_are_dropped(self, monkeypatch, flavor, P):
+        # The least |f| is the least maj its rest can add, so the only
+        # state is dropped at the first step.
+        sizes = _expanded_sizes(monkeypatch)
+        assert hilbert_truncated(P, flavor, "q", 12).coeffs == {}
+        assert sizes == [0]
 
 
 def _ex33_numerator(like):
