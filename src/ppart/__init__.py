@@ -55,6 +55,7 @@ from .partitions import (
 from .poset import (
     PiPair,
     Poset,
+    clashes,
     connected_ideals,
     count_ideals,
     enumerate_posets,

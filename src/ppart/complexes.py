@@ -15,10 +15,10 @@ from .errors import CapError
 from .extensions import count_extensions
 from .poset import (
     Poset,
+    clashes,
     connected_ideals,
     ideal_key,
     members,
-    trivially_intersecting,
 )
 
 DEFAULT_VERTEX_CAP = 24
@@ -105,12 +105,7 @@ def delta_complex(P: Poset, cap: int = DEFAULT_VERTEX_CAP) -> SimplicialComplex:
     if len(conn) > cap:
         raise CapError(f"{len(conn)} vertices exceeds the cap {cap}")
     nv = len(conn)
-    adj = [0] * nv
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            if trivially_intersecting(conn[i], conn[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    adj = [((1 << nv) - 1) & ~(c | 1 << i) for i, c in enumerate(clashes(P))]
     facets = []
     for clique in _max_cliques(adj, nv):
         facets.append(tuple(conn[i] for i in range(nv) if clique >> i & 1))

@@ -126,7 +126,8 @@ def connected_decomposition(P: Poset, f) -> ConnDecomposition:
 
 
 def nu(P: Poset, f) -> int:
-    return connected_decomposition(P, f).nu
+    """The size of f's connected decomposition, without building it."""
+    return sum(len(hasse_components(P, level)) for level in nested_decomposition(P, f))
 
 
 def fundamental_permutation(P: Poset, f):

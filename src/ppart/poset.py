@@ -40,9 +40,9 @@ def ideal_key(mask: int) -> tuple[int, int]:
 class Poset:
     """A partial order on {1..n}, stored via covers plus reachability masks.
 
-    J_conn and the default classification are computed on first use and
-    kept on the instance (see connected_ideals and structure.classify).
-    Neither walks the ideal lattice J(P).
+    J_conn, its clash masks and the default classification are computed
+    on first use and kept on the instance (see connected_ideals, clashes
+    and structure.classify).  None of them walks the ideal lattice J(P).
     """
 
     def __init__(self, n: int, relations=()):
@@ -85,6 +85,7 @@ class Poset:
             self._adj[b] |= 1 << (a - 1)
         self.full_mask = (1 << n) - 1
         self._jconn = None
+        self._clashes = None
         self._classification = None
 
     # -- comparabilities ------------------------------------------------
@@ -283,6 +284,32 @@ def connected_ideals(P: Poset) -> list[int]:
             frontier = nxt
         P._jconn = tuple(sorted(seen, key=ideal_key))
     return list(P._jconn)
+
+
+def clashes(P: Poset) -> tuple[int, ...]:
+    """Pi(P) as masks: bit j of entry i is set iff (J_i, J_j) is in Pi, for
+    J_i = connected_ideals(P)[i].  With holds[p] the mask of the ideals
+    containing p, J_i's partners meet it (OR of holds over J_i), leave it
+    (OR over its complement) and do not contain it (AND over J_i): about
+    |J_conn| * n big-int operations, once per Poset object."""
+    if P._clashes is None:
+        conn = connected_ideals(P)
+        holds = [0] * (P.n + 1)
+        for i, J in enumerate(conn):
+            for p in members(J):
+                holds[p] |= 1 << i
+        out = []
+        for J in conn:
+            meets, leaves, contains = 0, 0, -1
+            for p in range(1, P.n + 1):
+                if J >> (p - 1) & 1:
+                    meets |= holds[p]
+                    contains &= holds[p]
+                else:
+                    leaves |= holds[p]
+            out.append(meets & leaves & ~contains)
+        P._clashes = tuple(out)
+    return P._clashes
 
 
 def principal_ideal(P: Poset, p: int) -> int:

@@ -14,7 +14,6 @@ vector into a monomial of that shape.
 
 from __future__ import annotations
 
-import itertools
 import math
 from operator import add
 
@@ -24,20 +23,20 @@ from .partitions import (
     WEAK,
     _check_flavor,
     _multiset_vector,
-    connected_decomposition,
     enumerate_partitions,
     flavor_labelling,
+    nu,
     satisfies,
 )
 from .poset import (
     Poset,
+    clashes,
     connected_ideals,
     hasse_components,
     is_naturally_labelled,
     mask_of,
     members,
     nontrivial_pairs,
-    trivially_intersecting,
 )
 from .qpoly import QPolynomial, q_factorial, q_int
 from .structure import BuildRecipe, classify
@@ -290,22 +289,25 @@ def _iter_trivial_multisets(P: Poset, N: int, weighted: bool):
     total degree at most N, an ideal's degree being its size when
     weighted and 1 otherwise.
 
-    Yields lists of (ideal mask, multiplicity)."""
-    order = connected_ideals(P)
+    Yields lists of (ideal mask, multiplicity).  order is sorted by size,
+    so the first ideal over budget ends a node's loop."""
+    order, clash = connected_ideals(P), clashes(P)
 
-    def rec(idx, budget, chosen):
+    def rec(idx, budget, chosen, blocked):  # blocked: the clashes of chosen
         yield list(chosen)
         for i in range(idx, len(order)):
             J = order[i]
             w = J.bit_count() if weighted else 1
-            if w > budget or any(not trivially_intersecting(J, K) for K, _ in chosen):
+            if w > budget:
+                break
+            if blocked >> i & 1:
                 continue
             for m in range(1, budget // w + 1):
                 chosen.append((J, m))
-                yield from rec(i + 1, budget - m * w, chosen)
+                yield from rec(i + 1, budget - m * w, chosen, blocked | clash[i])
                 chosen.pop()
 
-    yield from rec(0, N, [])
+    yield from rec(0, N, [], 0)
     del rec  # its closure cycle would outlive the walk until a full collection
 
 
@@ -352,7 +354,7 @@ def hilbert_truncated(P: Poset, flavor: str, grading: str, N: int) -> TruncSerie
         return out
     counts = {}  # every enumerated f has |f| <= N, within the truncation
     for f in enumerate_partitions(P, flavor, N):
-        k = key(f, connected_decomposition(P, f).nu if out.has_t else 0)
+        k = key(f, nu(P, f) if out.has_t else 0)
         counts[k] = counts.get(k, 0) + 1
     out.coeffs = counts
     return out
@@ -435,12 +437,11 @@ def _numerator_bounds(P: Poset) -> tuple[int, int]:
     none cancels.  hi is the sum of |J| over the connected ideals in some
     pair of Pi: the rest are cone points of the flag complex, which add
     nothing to its Stanley-Reisner numerator (Hochster's formula)."""
-    lo, in_pairs = 0, set()
-    for j1, j2 in itertools.combinations(connected_ideals(P), 2):
-        if not trivially_intersecting(j1, j2):
-            lo = max(lo, j1.bit_count() + j2.bit_count())
-            in_pairs.update((j1, j2))
-    return lo, sum(J.bit_count() for J in in_pairs)
+    conn = connected_ideals(P)
+    paired = [(J.bit_count(), c) for J, c in zip(conn, clashes(P)) if c]
+    # conn is sorted by size, so a clash mask's top bit is its largest partner
+    lo = max((s + conn[c.bit_length() - 1].bit_count() for s, c in paired), default=0)
+    return lo, sum(s for s, _ in paired)
 
 
 def _flag_numerator(P: Poset, D: int) -> TruncSeries:
@@ -451,8 +452,7 @@ def _flag_numerator(P: Poset, D: int) -> TruncSeries:
     with m_J = t x^J; when C is empty this is g(S - v), so a cone point
     drops out."""
     conn = connected_ideals(P)  # vertex j is conn[j - 1], bit j - 1 of S
-    clash = [0] + [mask_of(k for k, K in enumerate(conn, 1)
-                           if not trivially_intersecting(J, K)) for J in conn]
+    clash = (0,) + clashes(P)
     memo = {0: {(0, (0,) * P.n): 1}}
 
     def times(X, j, sign, acc):  # acc + sign * m_J * X for J = conn[j - 1], truncated

@@ -8,7 +8,6 @@ checks the equivalent ideal-counting characterizations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import ArgError
@@ -16,6 +15,7 @@ from .fixtures import FORB1, FORB2, FORB3
 from .poset import (
     Poset,
     PiPair,
+    clashes,
     connected_ideals,
     hasse_components,
     ideal_key,
@@ -24,7 +24,6 @@ from .poset import (
     nontrivial_pairs,
     pairs_among,
     principal_ideal,
-    trivially_intersecting,
 )
 
 # -- recipe tree --------------------------------------------------------
@@ -211,15 +210,10 @@ def ci_test_ideals(P: Poset) -> bool:
 
 
 def ci_test_counts(P: Poset) -> bool:
-    """True iff |J_conn(P)| - |Pi(P)| = n.
-
-    The pairs of Pi are counted by mask tests alone, and only until the
-    count passes |J_conn| - n."""
-    conn = connected_ideals(P)
-    need = len(conn) - P.n  # >= 0: J_conn holds the n principal ideals
-    pairs = (1 for j1, j2 in itertools.combinations(conn, 2)
-             if not trivially_intersecting(j1, j2))
-    return sum(itertools.islice(pairs, need + 1)) == need
+    """True iff |J_conn(P)| - |Pi(P)| = n, with |Pi| half the sum of
+    the popcounts of the clash masks."""
+    clash = clashes(P)
+    return sum(c.bit_count() for c in clash) == 2 * (len(clash) - P.n)
 
 
 def forbidden_scan(P: Poset):

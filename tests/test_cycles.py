@@ -18,6 +18,7 @@ from ppart import (
     PForest,
     Poset,
     classify,
+    clashes,
     connected_ideals,
     count_ideals,
     delta_complex,
@@ -43,6 +44,7 @@ CALLS = {
     "induced_occurrences": lambda: induced_occurrences(FIG1, FORB1),
     "classify": lambda: classify(fresh(FIG1)),
     "connected_ideals": lambda: connected_ideals(fresh(FIG1)),
+    "clashes": lambda: clashes(fresh(FIG1)),
     "nontrivial_pairs": lambda: nontrivial_pairs(fresh(FIG1)),
     "count_ideals": lambda: count_ideals(FIG1),
     "principal_ideals": lambda: PForest((0, 1, 1, 2)).principal_ideals(),

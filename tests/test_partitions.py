@@ -10,6 +10,7 @@ from ppart import (
     delta_counterexample,
     delta_data,
     enumerate_partitions,
+    enumerate_posets,
     fundamental_permutation,
     is_naturally_labelled,
     mask_of,
@@ -121,6 +122,16 @@ class TestConnected:
                 if v != max(f):
                     always_equal = False
             assert always_equal == has_min
+
+    def test_nu_is_decomposition_size(self):
+        for n in range(1, 5):
+            for P in enumerate_posets(n):
+                for f in enumerate_partitions(P, "weak", 6):
+                    assert nu(P, f) == connected_decomposition(P, f).nu, (P, f)
+
+    def test_nu_keeps_weak_check(self):
+        with pytest.raises(FlavorError):
+            nu(CHAIN2, (0, 1))
 
 
 def _multisets_with_vector(P, conn, f):

@@ -11,6 +11,7 @@ from ppart import (
     Poset,
     PosetSyntaxError,
     RangeError,
+    clashes,
     connected_ideals,
     count_ideals,
     enumerate_posets,
@@ -241,6 +242,42 @@ class TestPairs:
             pr.j1 = 0
         with pytest.raises(AttributeError):
             pr.extra = 0
+
+
+def pairwise_clashes(P):
+    """The clash masks by testing every ordered pair, the oracle for clashes."""
+    conn = connected_ideals(P)
+    return [
+        sum(1 << j for j, K in enumerate(conn) if not trivially_intersecting(J, K))
+        for J in conn
+    ]
+
+
+class TestClashes:
+    def check(self, P):
+        clash = clashes(P)
+        assert list(clash) == pairwise_clashes(P), P
+        for i, c in enumerate(clash):
+            assert not c >> i & 1
+            partners = [j for j in range(len(clash)) if c >> j & 1]
+            assert all(clash[j] >> i & 1 for j in partners)
+
+    def test_small(self):
+        for n in range(1, 6):
+            for P in enumerate_posets(n):
+                self.check(P)
+
+    def test_random(self):
+        for P in random_posets(12, 200, range(6, 13)):
+            self.check(P)
+
+    def test_tree14(self):
+        self.check(TREE14)
+        assert sum(c.bit_count() for c in clashes(TREE14)) == 2 * 64536
+
+    def test_kept_on_the_poset(self):
+        P = Poset(EX33.n, sorted(EX33.covers))
+        assert clashes(P) is clashes(P)
 
 
 class TestPrincipal:

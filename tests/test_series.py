@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import random
 import sys
@@ -17,9 +18,11 @@ from ppart import (
     NotFWDError,
     Poset,
     TruncSeries,
+    ci_test_counts,
     classify,
     connected_ideals,
     count_ideals,
+    delta_complex,
     duplication_product,
     enumerate_partitions,
     enumerate_posets,
@@ -33,6 +36,7 @@ from ppart import (
     numerator_polynomial,
     q_int,
     rational_sum_truncated,
+    trivially_intersecting,
 )
 from conftest import random_posets
 from ppart import extensions, series
@@ -483,6 +487,18 @@ class TestNumerator:
         assert g == _ex33_numerator(g)
         assert len(numerator_polynomial(FIG1, 20).coeffs) == 4
 
+    def test_bounds_match_pairwise_loop(self, small_posets):
+        def pairwise_bounds(P):  # the bounds as computed before the clash masks
+            lo, in_pairs = 0, set()
+            for j1, j2 in itertools.combinations(connected_ideals(P), 2):
+                if not trivially_intersecting(j1, j2):
+                    lo = max(lo, j1.bit_count() + j2.bit_count())
+                    in_pairs.update((j1, j2))
+            return lo, sum(J.bit_count() for J in in_pairs)
+
+        for P in small_posets + random_posets(8, 40, (5, 6, 7, 8)):
+            assert _numerator_bounds(P) == pairwise_bounds(P), P
+
     def test_deep_recursion_is_a_cap_error(self):
         # The recursion is as deep as the non-cone ideals along its S - v
         # chain; past the interpreter's limit it ends in a CapError, never
@@ -577,6 +593,63 @@ class TestKoszul:
         expect.add_term(1, (0, 1), 1)
         expect.add_term(2, (1, 1), 1)
         assert inv == expect
+
+
+class TestPiInPosetOnly:
+    @pytest.mark.parametrize("P", [FIG1, EX33, FORB2], ids=["fig1", "ex33", "forb2"])
+    def test_no_pairwise_test_outside_poset(self, monkeypatch, P):
+        # Only ppart.poset decides Pi: with the pairwise test raising in
+        # every ppart namespace, each consumer of Pi answers as before.
+        def results(Q):
+            return [
+                ci_test_counts(Q),
+                numerator_polynomial(Q, 20),
+                delta_complex(Q),
+                initial_quotient_hilbert(Q, "x", 6),
+                initial_quotient_hilbert(Q, "tx", 6),
+                hilbert_truncated(Q, "weak", "t", 4),
+            ]
+
+        def fresh():
+            return Poset(P.n, sorted(P.covers))
+
+        expected = results(fresh())
+
+        def forbidden(*args):
+            raise AssertionError("Pi is decided in ppart.poset only")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ppart" and hasattr(module, "trivially_intersecting"):
+                monkeypatch.setattr(module, "trivially_intersecting", forbidden)
+        assert results(fresh()) == expected
+
+
+class TestTrivialMultisets:
+    @pytest.mark.parametrize("P,N", [
+        (FIG1, 6), (EX33, 5), (Poset(8, [(k // 2, k) for k in range(2, 9)]), 7),
+    ])
+    def test_walk_stops_at_first_heavy_ideal(self, monkeypatch, P, N):
+        # J_conn is sorted by size, so a node of the weighted walk looks at
+        # the ideals after its last chosen one up to the first heavier
+        # than its budget, and no further.
+        order = connected_ideals(P)
+        looked = []
+
+        class Watched(list):
+            def __getitem__(self, i):
+                looked.append(i)
+                return list.__getitem__(self, i)
+
+        monkeypatch.setattr(series, "connected_ideals", lambda Q: Watched(order))
+        bound = unpruned = 0
+        for ms in series._iter_trivial_multisets(P, N, weighted=True):
+            start = max((order.index(J) + 1 for J, _ in ms), default=0)
+            budget = N - sum(J.bit_count() * m for J, m in ms)
+            rest = [J.bit_count() for J in order[start:]]
+            light = sum(w <= budget for w in rest)
+            bound += light + (light < len(rest))
+            unpruned += len(rest)
+        assert len(looked) <= bound < unpruned
 
 
 class TestInitialQuotient:
