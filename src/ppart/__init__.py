@@ -74,6 +74,7 @@ from .poset import (
     trivially_intersecting,
 )
 from .presentation import (
+    Presentation,
     SemigroupIdealData,
     SyzGenerator,
     export,
@@ -81,6 +82,7 @@ from .presentation import (
     hibi_check,
     initial_generators,
     is_graded_iso,
+    presentation_of,
     semigroup_ideal,
     toric_generators,
     verify_vanishing,

@@ -29,15 +29,7 @@ from .poset import (
     nontrivial_pairs,
     parse_poset,
 )
-from .presentation import (
-    export,
-    graded_generators,
-    hibi_check,
-    initial_generators,
-    is_graded_iso,
-    semigroup_ideal,
-    toric_generators,
-)
+from .presentation import hibi_check, presentation_of, semigroup_ideal
 from .series import (
     DEFAULT_TRUNC,
     duplication_product,
@@ -149,22 +141,21 @@ def _cmd_hilbert(P, args):
 
 
 def _cmd_presentation(P, args):
-    wide = P.n > 9
-    text = export(P, args.format)
-    out_path = None
-    if args.out:
+    pres = presentation_of(P)
+    text = pres.export(args.format)
+    sg = semigroup_ideal(P, cap=args.cap)
+    if args.out:  # written after the cap check, so a capped run leaves no file
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        out_path = args.out
-    sg = semigroup_ideal(P, cap=args.cap)
+    toric, graded, initial = pres.rendered()
     return {
         "format": args.format,
         "export": text,
-        "written_to": out_path,
-        "toric": [g.render(wide) for g in toric_generators(P)],
-        "graded": [g.render(wide) for g in graded_generators(P)],
-        "initial": [g.render(wide) for g in initial_generators(P)],
-        "graded_iso": is_graded_iso(P),
+        "written_to": args.out or None,
+        "toric": toric,
+        "graded": graded,
+        "initial": initial,
+        "graded_iso": pres.graded_iso,
         "hibi": hibi_check(P),
         "semigroup": {
             "generators": [list(g) for g in sg.generators],

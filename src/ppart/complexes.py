@@ -9,6 +9,7 @@ facet members.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import CapError
@@ -165,14 +166,15 @@ class ForestReport:
 
 def forest_consistency(P: Poset, cap: int = DEFAULT_VERTEX_CAP) -> ForestReport:
     """Check that the facet forests partition the linear extensions:
-    the forest counts must add up to the extension count of P.  The
+    the forest counts, each n! over the product of its principal ideal
+    sizes (Knuth's hook length formula for forests), must add up to the
+    extension count of P, found by walking its ideal lattice.  The
     report keeps the complex, so a caller never builds it twice."""
     complex_ = delta_complex(P, cap)
     terms = []
-    total = 0
     for facet in complex_.facets:
         forest = _facet_to_forest(P, facet)
-        c = count_extensions(forest.as_poset())
-        terms.append((forest.parent, c))
-        total += c
+        hooks = math.prod(J.bit_count() for J in forest.principal_ideals())
+        terms.append((forest.parent, math.factorial(P.n) // hooks))
+    total = sum(c for _, c in terms)
     return ForestReport(tuple(terms), total, count_extensions(P), complex_)

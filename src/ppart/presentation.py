@@ -7,16 +7,13 @@ computer-algebra export of all of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
+from .errors import ArgError
 from .extensions import DEFAULT_CAP, _check_cap, fold_extensions
 from .partitions import _multiset_vector, delta_data
-from .poset import (
-    Poset,
-    PiPair,
-    connected_ideals,
-    members,
-    nontrivial_pairs,
-)
+from .poset import PiPair, Poset, connected_ideals, members, nontrivial_pairs
+
 
 def var_name(mask: int, wide: bool) -> str:
     """U followed by the sorted member labels; underscore-separated once
@@ -30,10 +27,9 @@ def var_name(mask: int, wide: bool) -> str:
 def _m2_var_name(mask: int, wide: bool) -> str:
     """var_name for Macaulay2, where underscores mean indexing: wide names
     glue their labels with "x"."""
-    elems = members(mask)
     if wide:
-        return "U" + "x".join(str(p) for p in elems)
-    return "U" + "".join(str(p) for p in elems)
+        return "U" + "x".join(str(p) for p in members(mask))
+    return var_name(mask, wide)
 
 
 @dataclass(frozen=True)
@@ -57,34 +53,88 @@ class SyzGenerator:
         return f"{left} - {right}"
 
 
-def toric_generators(P: Poset) -> list[SyzGenerator]:
-    """U_J1 U_J2 - U_{J1 u J2} times one variable per component of the
-    intersection; one generator per pair, in the canonical pair order."""
-    out = []
+class Presentation(NamedTuple):
+    """The three generator families of P's presentation ideals, one
+    generator of each per pair of Pi, in the canonical pair order."""
+
+    poset: Poset
+    toric: list[SyzGenerator]
+    graded: list[SyzGenerator]
+    initial: list[SyzGenerator]
+
+    @property
+    def graded_iso(self) -> bool:
+        """True iff every graded generator is a binomial, i.e. every
+        intersection is connected and the graded ideal is the toric one."""
+        return all(g.rhs for g in self.graded)
+
+    def rendered(self, name=var_name) -> tuple[list[str], ...]:
+        """The toric, graded and initial generators as strings."""
+        wide = self.poset.n > 9
+        return tuple([g.render(wide, name) for g in gens] for gens in self[1:])
+
+    def export(self, format: str = "text") -> str:
+        """The ring and the three ideals as plain text or Macaulay2."""
+        if format not in _FORMATS:
+            raise ArgError(f"unknown export format {format!r}")
+        head, name, family = _FORMATS[format]
+        P = self.poset
+        lines = head(P, ", ".join(name(J, P.n > 9) for J in connected_ideals(P)))
+        for label, gens in zip(("toric", "graded", "initial"), self.rendered(name)):
+            lines += family(label, gens)
+        return "\n".join(lines) + "\n"
+
+
+def _m2_head(P: Poset, names: str) -> list[str]:
+    covers = " ".join(f"{a}<{b}" for a, b in sorted(P.covers))
+    return [
+        f"-- presentation data for a labelled poset on {P.n} elements; covers: {covers}",
+        f"S = QQ[{names}];",
+    ]
+
+
+# format -> (lines before the ideals, variable names, lines of one ideal)
+_FORMATS = {
+    "text": (
+        lambda P, names: [f"S = k[{names}]"],
+        var_name,
+        lambda label, gens: [f"{label}:"] + ["  " + g for g in gens or ["(none)"]],
+    ),
+    "m2": (
+        _m2_head,
+        _m2_var_name,
+        lambda label, gens: [f"I{label} = ideal({', '.join(gens) or '0_S'});"],
+    ),
+}
+
+
+def presentation_of(P: Poset) -> Presentation:
+    """All three families from one listing of Pi.  A toric generator
+    U_J1 U_J2 - U_{J1 u J2} times one variable per component of the
+    intersection is also the graded one when the intersection is
+    connected; otherwise the graded generator is the initial monomial."""
+    toric, graded, initial = [], [], []
     for pr in nontrivial_pairs(P):
-        rhs = (pr.union,) + pr.intersection_components
-        out.append(SyzGenerator(pr, (pr.j1, pr.j2), rhs))
-    return out
+        lhs = (pr.j1, pr.j2)
+        comps = pr.intersection_components
+        binomial = SyzGenerator(pr, lhs, (pr.union,) + comps)
+        monomial = SyzGenerator(pr, lhs, ())
+        toric.append(binomial)
+        graded.append(binomial if len(comps) == 1 else monomial)
+        initial.append(monomial)
+    return Presentation(P, toric, graded, initial)
+
+
+def toric_generators(P: Poset) -> list[SyzGenerator]:
+    return presentation_of(P).toric
 
 
 def graded_generators(P: Poset) -> list[SyzGenerator]:
-    """Quadratic form: binomial when the intersection is connected,
-    monomial when it is not."""
-    out = []
-    for pr in nontrivial_pairs(P):
-        if len(pr.intersection_components) == 1:
-            rhs = (pr.union, pr.intersection)
-        else:
-            rhs = ()
-        out.append(SyzGenerator(pr, (pr.j1, pr.j2), rhs))
-    return out
+    return presentation_of(P).graded
 
 
 def initial_generators(P: Poset) -> list[SyzGenerator]:
-    return [
-        SyzGenerator(pr, (pr.j1, pr.j2), ())
-        for pr in nontrivial_pairs(P)
-    ]
+    return presentation_of(P).initial
 
 
 def verify_vanishing(P: Poset, gens) -> bool:
@@ -97,11 +147,11 @@ def verify_vanishing(P: Poset, gens) -> bool:
 
 
 def is_graded_iso(P: Poset) -> bool:
-    """True iff every nontrivial pair has connected intersection (the
-    graded presentation then coincides with the toric one)."""
-    return all(
-        len(pr.intersection_components) == 1 for pr in nontrivial_pairs(P)
-    )
+    return presentation_of(P).graded_iso
+
+
+def export(P: Poset, format: str = "text") -> str:
+    return presentation_of(P).export(format)
 
 
 def hibi_check(P: Poset) -> bool:
@@ -148,51 +198,3 @@ def semigroup_ideal(P: Poset, cap: int = DEFAULT_CAP) -> SemigroupIdealData:
     data = delta_data(P)
     principal = data.delta if data.satisfies_labelled_condition else None
     return SemigroupIdealData(gens, principal)
-
-
-# -- export -------------------------------------------------------------
-
-
-def export(P: Poset, format: str = "text") -> str:
-    if format == "text":
-        return _export_text(P)
-    if format == "m2":
-        return _export_m2(P)
-    raise ValueError(f"unknown export format {format!r}")
-
-
-def _export_text(P: Poset) -> str:
-    wide = P.n > 9
-    lines = ["S = k[" + ", ".join(var_name(J, wide) for J in connected_ideals(P)) + "]"]
-    for label, gens in (
-        ("toric", toric_generators(P)),
-        ("graded", graded_generators(P)),
-        ("initial", initial_generators(P)),
-    ):
-        lines.append(f"{label}:")
-        if not gens:
-            lines.append("  (none)")
-        for g in gens:
-            lines.append("  " + g.render(wide))
-    return "\n".join(lines) + "\n"
-
-
-def _export_m2(P: Poset) -> str:
-    wide = P.n > 9
-    names = [_m2_var_name(J, wide) for J in connected_ideals(P)]
-
-    def body(gens):
-        if not gens:
-            return "ideal(0_S)"
-        return "ideal(" + ", ".join(g.render(wide, _m2_var_name) for g in gens) + ")"
-
-    lines = [
-        "-- presentation data for a labelled poset on "
-        + f"{P.n} elements; covers: "
-        + " ".join(f"{a}<{b}" for a, b in sorted(P.covers)),
-        "S = QQ[" + ", ".join(names) + "];",
-        "Itoric = " + body(toric_generators(P)) + ";",
-        "Igraded = " + body(graded_generators(P)) + ";",
-        "Iinitial = " + body(initial_generators(P)) + ";",
-    ]
-    return "\n".join(lines) + "\n"

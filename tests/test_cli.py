@@ -86,6 +86,13 @@ class TestExitCodes:
         target = tmp_path / "missing" / "ring.m2"
         self._assert_input_error(["presentation", EX33, "--out", str(target)], capsys)
 
+    def test_capped_presentation_writes_no_out_file(self, tmp_path):
+        target = tmp_path / "f"
+        code, out = run_cli(["presentation", FIG1, "--cap", "1", "--out", str(target)])
+        assert code == 4
+        assert out == ""
+        assert not target.exists()
+
     def test_unknown_grading(self, capsys):
         code = main(["hilbert", P2, "--grading", "bogus"])
         out, err = capsys.readouterr()
@@ -266,6 +273,42 @@ class TestPayloads:
         )
         assert code == 0
         assert target.read_text().startswith("--")
+
+
+class TestPiListings:
+    # (fewest, most) calls of nontrivial_pairs per command.  hook and
+    # selftest list Pi only for forests with duplications, where
+    # |Pi| = |J_conn| - n is small.
+    LISTINGS = {
+        "presentation": (1, 1),
+        "analyze": (1, 1),
+        "hook": (0, 2),
+        "selftest": (0, 2),
+        "classify": (0, 0),
+        "complex": (0, 0),
+        "extensions": (0, 0),
+        "hilbert": (0, 0),
+    }
+
+    @pytest.mark.parametrize("fixture", ["fig1", "ex33", "forb2"])
+    @pytest.mark.parametrize("command", list(LISTINGS))
+    def test_listings_per_command(self, monkeypatch, command, fixture):
+        import ppart.poset
+
+        listed = []
+        nontrivial_pairs = ppart.poset.nontrivial_pairs
+
+        def counting(P):
+            listed.append(P)
+            return nontrivial_pairs(P)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ppart" and hasattr(module, "nontrivial_pairs"):
+                monkeypatch.setattr(module, "nontrivial_pairs", counting)
+        flags = ["--trunc", "6"] if command == "selftest" else []
+        run_cli([command, str(FIXTURES / f"{fixture}.poset")] + flags)
+        fewest, most = self.LISTINGS[command]
+        assert fewest <= len(listed) <= most
 
 
 class TestGolden:

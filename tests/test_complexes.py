@@ -2,10 +2,12 @@ import pytest
 
 from ppart import (
     CapError,
+    PForest,
     Poset,
     connected_ideals,
     count_extensions,
     delta_complex,
+    enumerate_posets,
     forest_consistency,
     mask_of,
     nontrivial_pairs,
@@ -137,3 +139,18 @@ class TestConsistency:
     def test_random_n6(self):
         for P in random_posets(66, 60, (6,)):
             assert forest_consistency(P).ok
+
+    @staticmethod
+    def _assert_terms_match_walk(P):
+        # each forest's hook length count against a walk of its ideal lattice
+        for parent, count in forest_consistency(P, cap=64).terms:
+            assert count == count_extensions(PForest(parent).as_poset())
+
+    def test_hook_counts_match_walk_up_to_5(self, posets3, posets4, posets5):
+        small = [P for n in (1, 2) for P in enumerate_posets(n)]
+        for P in small + posets3 + posets4 + posets5:
+            self._assert_terms_match_walk(P)
+
+    def test_hook_counts_match_walk_random(self):
+        for P in random_posets(68, 60, (6, 7, 8)):
+            self._assert_terms_match_walk(P)

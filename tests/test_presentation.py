@@ -1,9 +1,11 @@
 import pytest
 
 from ppart import (
+    ArgError,
     Poset,
     ci_test_counts,
     connected_ideals,
+    enumerate_posets,
     export,
     graded_generators,
     hibi_check,
@@ -12,6 +14,7 @@ from ppart import (
     maj_polynomial,
     mask_of,
     nontrivial_pairs,
+    presentation_of,
     q_int,
     semigroup_ideal,
     toric_generators,
@@ -93,6 +96,15 @@ class TestFlags:
         assert is_graded_iso(P)
         assert not hibi_check(P)
 
+    def test_graded_iso_is_connected_intersections(self, posets3, posets4):
+        # the per-pair definition: every intersection has one component
+        small = [P for n in (1, 2) for P in enumerate_posets(n)]
+        for P in small + posets3 + posets4:
+            expected = all(
+                len(pr.intersection_components) == 1 for pr in nontrivial_pairs(P)
+            )
+            assert presentation_of(P).graded_iso == is_graded_iso(P) == expected
+
 
 class TestSemigroupIdeal:
     def test_p3(self):
@@ -167,7 +179,7 @@ class TestExport:
         assert export(EX33, "m2") == golden.read_text()
 
     def test_unknown_format(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgError):
             export(P1, "latex")
 
 
