@@ -142,12 +142,12 @@ def _cmd_hilbert(P, args):
 
 def _cmd_presentation(P, args):
     pres = presentation_of(P)
-    text = pres.export(args.format)
+    toric, graded, initial = families = pres.rendered()
+    text = pres.export(args.format, families)
     sg = semigroup_ideal(P, cap=args.cap)
     if args.out:  # written after the cap check, so a capped run leaves no file
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    toric, graded, initial = pres.rendered()
     return {
         "format": args.format,
         "export": text,

@@ -167,9 +167,9 @@ class ForestReport:
 def forest_consistency(P: Poset, cap: int = DEFAULT_VERTEX_CAP) -> ForestReport:
     """Check that the facet forests partition the linear extensions:
     the forest counts, each n! over the product of its principal ideal
-    sizes (Knuth's hook length formula for forests), must add up to the
-    extension count of P, found by walking its ideal lattice.  The
-    report keeps the complex, so a caller never builds it twice."""
+    sizes (Knuth's hook length formula for forests), must add up to
+    `count_extensions(P)`.  The report keeps the complex, so a caller
+    never builds it twice."""
     complex_ = delta_complex(P, cap)
     terms = []
     for facet in complex_.facets:

@@ -10,9 +10,10 @@ Ordered structures and partitions, 1972): see `fold_levels`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from functools import reduce
 from operator import add
+from typing import NamedTuple
 
 from .errors import ExplosionError
 from .partitions import delta_data
@@ -22,8 +23,7 @@ from .qpoly import QPolynomial
 DEFAULT_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class LinearExtension:
+class LinearExtension(NamedTuple):
     """A compatible listing w with its descent data.
 
     des_set is Des(w); maj sums the descent positions; des_p sums, over
@@ -53,35 +53,54 @@ def _check_cap(P: Poset, cap: int) -> None:
 def linear_extensions(P: Poset, cap: int = DEFAULT_CAP) -> list[LinearExtension]:
     """All linear extensions in lexicographic order of w, with statistics.
 
+    The prefixes are grown level by level, each by its next elements in
+    ascending order, so every level stays in lexicographic order.  A level
+    is freed prefix by prefix while the next one is built.  The moves out
+    of a prefix ideal, and the component count c_P it adds at a descent,
+    are found once per ideal.
     Raises ExplosionError when more than cap extensions exist.
     """
     _check_cap(P, cap)
+    # A prefix carries w and its descent set as bytes (labels and
+    # positions stay below MAX_ELEMENTS = 64 < 256), which the garbage
+    # collector does not track, so a prefix costs it one tuple.
+    moves = {}  # prefix ideal -> (its c_P, [(p, p as bytes, ideal + p)])
+    level = [(b"", 0, 0, b"", 0, 0)]  # (w, ideal, last, des, maj, des_p)
+    for i in range(P.n):
+        at = bytes((i,))
+        nxt = []
+        append = nxt.append
+        for w, ideal, last, des, maj, des_p in _drain(level):
+            found = moves.get(ideal)
+            if found is None:
+                found = moves[ideal] = (
+                    len(hasse_components(P, ideal)),
+                    [(p, bytes((p,)), ideal | (1 << (p - 1)))
+                     for p in P.minimal_elements(P.full_mask & ~ideal)],
+                )
+            c, steps = found
+            for p, byte, grown in steps:
+                if last > p:
+                    append((w + byte, grown, p, des + at, maj + i, des_p + c))
+                else:
+                    append((w + byte, grown, p, des, maj, des_p))
+        level = nxt
+    new = tuple.__new__  # skips the NamedTuple constructor's argument handling
+    des_sets = {}  # one tuple per distinct descent set
     out = []
-    w: list[int] = []
-    components: dict[int, int] = {}  # prefix ideal -> its c_P
-
-    def extend(taken: int, last: int, des: tuple, maj: int, des_p: int):
-        i = len(w)
-        if i == P.n:
-            out.append(LinearExtension(tuple(w), des, maj, des_p))
-            return
-        for p in P.minimal_elements(P.full_mask & ~taken):
-            w.append(p)
-            grown = taken | (1 << (p - 1))
-            if last > p:
-                c = components.get(taken)
-                if c is None:
-                    c = components[taken] = len(hasse_components(P, taken))
-                extend(grown, p, des + (i,), maj + i, des_p + c)
-            else:
-                extend(grown, p, des, maj, des_p)
-            w.pop()
-
-    extend(0, 0, (), 0, 0)
-    # extend refers to itself through its closure; break that cycle, or
-    # out stays alive after its caller drops it, until a full collection.
-    del extend
+    for w, _, _, des, maj, des_p in _drain(level):
+        des_set = des_sets.get(des)
+        if des_set is None:
+            des_set = des_sets[des] = tuple(des)
+        out.append(new(LinearExtension, (tuple(w), des_set, maj, des_p)))
     return out
+
+
+def _drain(items: list):
+    """The items in order, each removed from the list as it is yielded."""
+    items.reverse()
+    while items:
+        yield items.pop()
 
 
 def fold_levels(P: Poset, start, step, merge, depth: int) -> dict:
@@ -127,8 +146,26 @@ def fold_extensions(P: Poset, start, step, merge):
 
 
 def count_extensions(P: Poset) -> int:
-    """Exact |L(P)| by dynamic programming over the ideal lattice
-    (number of maximal chains from the empty ideal to the full one)."""
+    """Exact |L(P)|.
+
+    When every element has at most one upper cover, P is a forest and
+    |L(P)| = n!/prod |down x| (Knuth's hook length formula for forests);
+    when every element has at most one lower cover, dually n!/prod |up x|.
+    Any other poset is counted by dynamic programming over the ideal
+    lattice (`_count_by_ideals`)."""
+    if len({a for a, _ in P.covers}) == len(P.covers):
+        strict = P.down_strict
+    elif len({b for _, b in P.covers}) == len(P.covers):
+        strict = P.up_strict
+    else:
+        return _count_by_ideals(P)
+    hooks = math.prod(strict(x).bit_count() + 1 for x in range(1, P.n + 1))
+    return math.factorial(P.n) // hooks
+
+
+def _count_by_ideals(P: Poset) -> int:
+    """|L(P)| as the number of maximal chains from the empty ideal to the
+    full one, by dynamic programming over the ideal lattice."""
     counts = {0: 1}
     frontier = [0]
     while frontier:

@@ -70,17 +70,35 @@ class Presentation(NamedTuple):
 
     def rendered(self, name=var_name) -> tuple[list[str], ...]:
         """The toric, graded and initial generators as strings."""
-        wide = self.poset.n > 9
-        return tuple([g.render(wide, name) for g in gens] for gens in self[1:])
+        return self._render(self._names(name))
 
-    def export(self, format: str = "text") -> str:
-        """The ring and the three ideals as plain text or Macaulay2."""
+    def _names(self, name) -> dict[int, str]:
+        """Each connected ideal's variable name, in J_conn order.  Every
+        mask in a generator is a connected ideal: J1, J2, their union and
+        the components of their intersection."""
+        P = self.poset
+        return {J: name(J, P.n > 9) for J in connected_ideals(P)}
+
+    def _render(self, names: dict[int, str]) -> tuple[list[str], ...]:
+        def named(mask, wide):
+            return names[mask]
+
+        wide = self.poset.n > 9
+        return tuple([g.render(wide, named) for g in gens] for gens in self[1:])
+
+    def export(self, format: str = "text", families=None) -> str:
+        """The ring and the three ideals as plain text or Macaulay2.
+
+        families, the result of `rendered()` if the caller has it, is
+        reused by the formats that name variables by var_name."""
         if format not in _FORMATS:
             raise ArgError(f"unknown export format {format!r}")
         head, name, family = _FORMATS[format]
-        P = self.poset
-        lines = head(P, ", ".join(name(J, P.n > 9) for J in connected_ideals(P)))
-        for label, gens in zip(("toric", "graded", "initial"), self.rendered(name)):
+        names = self._names(name)
+        if families is None or name is not var_name:
+            families = self._render(names)
+        lines = head(self.poset, ", ".join(names.values()))
+        for label, gens in zip(("toric", "graded", "initial"), families):
             lines += family(label, gens)
         return "\n".join(lines) + "\n"
 
@@ -173,14 +191,14 @@ def semigroup_ideal(P: Poset, cap: int = DEFAULT_CAP) -> SemigroupIdealData:
     """The distinct descent vectors sum_{i in Des(w)} 1_{w[:i]} over L(P),
     by `fold_extensions` over sets of partial vectors.
 
-    A vector is packed into one integer, element 1 in the most
-    significant field, so adding the indicator of a prefix is one
-    addition and integer order is the lexicographic order of vectors.
+    A vector is packed into one integer, a byte per entry with element 1
+    in the most significant one, so adding the indicator of a prefix is
+    one addition, integer order is the lexicographic order of vectors,
+    and `int.to_bytes` unpacks it.  An entry counts descents, so it stays
+    below n <= MAX_ELEMENTS = 64 < 256.
     Raises ExplosionError when more than cap extensions exist."""
     _check_cap(P, cap)
-    width = P.n.bit_length()  # entries count descents, so stay below n
-    field = (1 << width) - 1
-    shift = [0] + [width * (P.n - p) for p in range(1, P.n + 1)]
+    shift = [0] + [8 * (P.n - p) for p in range(1, P.n + 1)]
     spread = {}  # prefix ideal -> its packed indicator vector
 
     def step(vectors, ideal, descent):
@@ -192,9 +210,7 @@ def semigroup_ideal(P: Poset, cap: int = DEFAULT_CAP) -> SemigroupIdealData:
         return {v + s for v in vectors}
 
     packed = fold_extensions(P, {0}, step, set.union)
-    gens = tuple(
-        tuple((v >> shift[p]) & field for p in range(1, P.n + 1)) for v in sorted(packed)
-    )
+    gens = tuple(tuple(v.to_bytes(P.n, "big")) for v in sorted(packed))
     data = delta_data(P)
     principal = data.delta if data.satisfies_labelled_condition else None
     return SemigroupIdealData(gens, principal)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import sub
+
 from .errors import RemainderError
 
 
@@ -96,6 +99,35 @@ class QPolynomial:
             raise RemainderError("nonzero remainder in exact division")
         return QPolynomial(tuple(quot))
 
+    def times_q_int(self, m: int) -> "QPolynomial":
+        """self * [m]_q (m >= 1) by a running window sum: coefficient d of
+        the product is the sum of coefficients d - m + 1 .. d of self."""
+        sums = list(accumulate(self.coeffs + (0,) * (m - 1)))
+        return QPolynomial(sums[:m] + list(map(sub, sums[m:], sums)))
+
+    def over_q_int(self, m: int) -> "QPolynomial":
+        """self / [m]_q (m >= 1), exact, as `exact_div(q_int(m))` but in
+        O(degree).
+
+        With b = self, the quotient a satisfies a(1 - q^m) = b(1 - q), so
+        a_d = a_{d-m} + b_d - b_{d-1}: m interleaved running sums of the
+        differences of b.  The m terms of that recurrence past the
+        quotient's degree are all zero exactly when [m]_q divides b (from
+        there on it only repeats them); otherwise RemainderError."""
+        b = self.coeffs
+        if self.is_zero():
+            return QPolynomial.zero()
+        if len(b) < m:
+            raise RemainderError("divisor degree exceeds dividend degree")
+        diff = list(map(sub, b + (0,), (0,) + b))
+        a = [0] * len(diff)
+        for r in range(m):
+            a[r::m] = accumulate(diff[r::m])
+        top = len(b) - m + 1
+        if any(a[top:]):
+            raise RemainderError("nonzero remainder in exact division")
+        return QPolynomial(a[:top])
+
     def __call__(self, value: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -138,5 +170,5 @@ def q_factorial(n: int) -> QPolynomial:
         raise ValueError("q_factorial needs n >= 0")
     out = QPolynomial.one()
     for k in range(1, n + 1):
-        out = out * q_int(k)
+        out = out.times_q_int(k)
     return out

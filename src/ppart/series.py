@@ -38,7 +38,7 @@ from .poset import (
     members,
     nontrivial_pairs,
 )
-from .qpoly import QPolynomial, q_factorial, q_int
+from .qpoly import QPolynomial, q_factorial
 from .structure import BuildRecipe, classify
 
 DEFAULT_TRUNC = 12
@@ -499,16 +499,17 @@ def _hook_sizes(P: Poset):
 
 def hook_formula(P: Poset) -> QPolynomial:
     """[n]!_q * prod over pairs [|J1|+|J2|]_q / prod over ideals [|J|]_q,
-    by exact division; equals the maj generating polynomial."""
+    by window sums and exact division (`QPolynomial.times_q_int`,
+    `over_q_int`); equals the maj generating polynomial."""
     if not is_naturally_labelled(P):
         raise LabelError("the q hook formula needs a natural labelling")
     _require_fwd(P)
     pairs, ideals = _hook_sizes(P)
     out = q_factorial(P.n)
     for size in pairs:
-        out = out * q_int(size)
+        out = out.times_q_int(size)
     for size in ideals:
-        out = out.exact_div(q_int(size))
+        out = out.over_q_int(size)
     return out
 
 

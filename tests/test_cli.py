@@ -275,6 +275,44 @@ class TestPayloads:
         assert target.read_text().startswith("--")
 
 
+class TestAntichain22:
+    """|L(P)| = 22! is counted by the hook length formula for forests, so
+    the L(P) cap trips before any walk over the 2^22 ideals."""
+
+    @pytest.fixture
+    def poset(self, tmp_path):
+        path = tmp_path / "antichain22.poset"
+        path.write_text("n 22\n")
+        return path
+
+    @staticmethod
+    def _run(argv, capsys):
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 2.0
+        return (code, *capsys.readouterr())
+
+    def test_extensions_exits_at_the_cap(self, poset, capsys):
+        code, out, err = self._run(["extensions", str(poset)], capsys)
+        assert code == 4
+        assert out == ""
+        assert "|L(P)| = 1124000727777607680000" in err
+
+    def test_presentation_exits_at_the_cap(self, poset, tmp_path, capsys):
+        target = tmp_path / "f"
+        code, out, _ = self._run(["presentation", str(poset), "--out", str(target)], capsys)
+        assert code == 4
+        assert out == ""
+        assert not target.exists()
+
+    def test_complex_finishes(self, poset, capsys):
+        code, out, _ = self._run(["complex", str(poset)], capsys)
+        assert code == 0
+        consistency = json.loads(out)["results"]["consistency"]
+        assert consistency["ok"] is True
+        assert consistency["expected"] == 1124000727777607680000
+
+
 class TestPiListings:
     # (fewest, most) calls of nontrivial_pairs per command.  hook and
     # selftest list Pi only for forests with duplications, where

@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+import ppart.extensions
 from conftest import random_posets
 from ppart import (
     ExplosionError,
@@ -21,7 +23,7 @@ from ppart import (
     rational_sum_truncated,
     semigroup_ideal,
 )
-from ppart.extensions import maj_coefficients
+from ppart.extensions import _count_by_ideals, maj_coefficients
 from ppart.fixtures import EX33, FIG1, P1, P2
 from ppart.partitions import _multiset_vector
 from ppart.series import _graded
@@ -60,6 +62,36 @@ class TestEnumeration:
         with pytest.raises(ExplosionError, match=r"^\|L\(P\)\| = 720 exceeds cap 100$"):
             linear_extensions(Poset(6, []), cap=100)
 
+    def test_matches_recursive_listing(self, posets3, posets4, posets5):
+        for P in posets3 + posets4 + posets5 + random_posets(53, 40, (6, 7, 8)):
+            got = [(e.w, e.des_set, e.maj, e.des_p) for e in linear_extensions(P)]
+            assert got == _extensions_by_recursion(P), P
+
+
+def _extensions_by_recursion(P):
+    """(w, Des(w), maj, des_P) over L(P) in lexicographic order of w, by
+    extending a prefix with each minimal element of the rest in turn."""
+    out = []
+    w = []
+
+    def extend(taken, last, des, maj, des_p):
+        i = len(w)
+        if i == P.n:
+            out.append((tuple(w), des, maj, des_p))
+            return
+        for p in P.minimal_elements(P.full_mask & ~taken):
+            w.append(p)
+            grown = taken | (1 << (p - 1))
+            if last > p:
+                c = len(hasse_components(P, taken))
+                extend(grown, p, des + (i,), maj + i, des_p + c)
+            else:
+                extend(grown, p, des, maj, des_p)
+            w.pop()
+
+    extend(0, 0, (), 0, 0)
+    return out
+
 
 class TestCount:
     def test_fig1(self):
@@ -74,6 +106,30 @@ class TestCount:
     def test_agrees_with_enumeration(self, posets5):
         for P in posets5[::17]:
             assert count_extensions(P) == len(linear_extensions(P))
+
+    def test_forest_formula_matches_ideal_walk(self, posets3, posets4, posets5):
+        for P in posets3 + posets4 + posets5 + random_posets(61, 40, range(6, 11)):
+            assert count_extensions(P) == _count_by_ideals(P), P
+
+    @pytest.mark.parametrize("upward", [True, False], ids=["roots-on-top", "roots-below"])
+    def test_forests_skip_the_ideal_walk(self, upward, monkeypatch):
+        # random forests (every element has at most one upper cover, or
+        # at most one lower cover) are counted by the hook length formula
+        rng = random.Random(67 + upward)
+        forests = []
+        for _ in range(40):
+            n = rng.randrange(6, 11)
+            label = rng.sample(range(1, n + 1), n)
+            edges = [(label[k], label[rng.randrange(k)]) for k in range(1, n) if rng.random() < 0.8]
+            forests.append(Poset(n, [(a, b) if upward else (b, a) for a, b in edges]))
+        expect = [_count_by_ideals(P) for P in forests]
+
+        def walk(P):
+            raise AssertionError("walked the ideal lattice of a forest")
+
+        monkeypatch.setattr(ppart.extensions, "_count_by_ideals", walk)
+        assert [count_extensions(P) for P in forests] == expect
+        assert count_extensions(Poset(22, [])) == math.factorial(22)
 
 
 class TestMajPolynomial:

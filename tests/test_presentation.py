@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+import ppart.presentation as presentation
 from ppart import (
     ArgError,
     Poset,
@@ -122,6 +125,15 @@ class TestSemigroupIdeal:
         assert (0, 0, 0, 0, 0) in data.generators
         assert data.principal == (0, 0, 0, 0, 0)
 
+    def test_entry_reaches_n_minus_one(self):
+        # on the 9-antichain w = 9 8 ... 1 descends at every position, so
+        # element p lies in p - 1 descent prefixes and element 9 in all 8
+        gens = semigroup_ideal(Poset(9, [])).generators
+        assert len(gens) == math.factorial(9)
+        assert tuple(range(9)) in gens
+        assert max(max(g) for g in gens) == 8
+        assert list(gens) == sorted(gens)
+
     def test_maj_identity_when_principal(self, posets4):
         # when the per-element chain condition holds, the maj polynomial
         # factors through the weak series shifted by the minimal vector
@@ -181,6 +193,25 @@ class TestExport:
     def test_unknown_format(self):
         with pytest.raises(ArgError):
             export(P1, "latex")
+
+    def test_names_each_ideal_once(self, monkeypatch):
+        # a render names each connected ideal once, and the text export
+        # reuses the families the caller already rendered
+        pres = presentation_of(FIG1)
+        want = pres.export("text")
+        named = []
+        real = presentation.members
+        monkeypatch.setattr(presentation, "members", lambda mask: named.append(mask) or real(mask))
+        families = pres.rendered()
+        assert sorted(named) == sorted(connected_ideals(FIG1))
+
+        def render(*args):
+            raise AssertionError("rendered a generator twice")
+
+        named.clear()
+        monkeypatch.setattr(presentation.SyzGenerator, "render", render)
+        assert pres.export("text", families) == want
+        assert sorted(named) == sorted(connected_ideals(FIG1))
 
 
 class TestCIConsistency:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -54,6 +56,59 @@ class TestDivision:
     @given(polys, nonzero_polys)
     def test_round_trip(self, a, b):
         assert (a * b).exact_div(b) == a
+
+
+class TestQIntKernels:
+    """The window multiply and divide by [m]_q against the dense product
+    and long division, on random integer polynomials and m = 1..25."""
+
+    @staticmethod
+    def _polys(seed):
+        rng = random.Random(seed)
+        out = [QPolynomial.zero(), QPolynomial.one()]
+        for _ in range(60):
+            degree = rng.randrange(30)
+            out.append(QPolynomial(tuple(rng.randint(-9, 9) for _ in range(degree + 1))))
+        return out
+
+    def test_times_matches_product(self):
+        for a in self._polys(1):
+            for m in range(1, 26):
+                assert a.times_q_int(m) == a * q_int(m), (a, m)
+
+    def test_over_inverts_times(self):
+        for a in self._polys(2):
+            for m in range(1, 26):
+                b = a * q_int(m)
+                assert b.over_q_int(m) == b.exact_div(q_int(m)) == a, (a, m)
+
+    def test_over_raises_where_exact_div_raises(self):
+        # a product with one coefficient moved, and random polynomials,
+        # are mostly not multiples of [m]_q
+        rng = random.Random(3)
+        cases = []
+        for a in self._polys(4):
+            for m in range(1, 26):
+                b = list((a * q_int(m)).coeffs)
+                b[rng.randrange(len(b))] += rng.choice((-1, 1))
+                cases += [(QPolynomial(tuple(b)), m), (a, m)]
+        raised = 0
+        for b, m in cases:
+            try:
+                want = b.exact_div(q_int(m))
+            except RemainderError as exc:
+                raised += 1
+                with pytest.raises(RemainderError, match=str(exc)):
+                    b.over_q_int(m)
+            else:
+                assert b.over_q_int(m) == want, (b, m)
+        assert raised > len(cases) // 2
+
+    def test_not_divisible(self):
+        with pytest.raises(RemainderError, match="nonzero remainder"):
+            q_int(5).over_q_int(2)
+        with pytest.raises(RemainderError, match="degree"):
+            q_int(2).over_q_int(4)
 
 
 class TestArithmetic:
