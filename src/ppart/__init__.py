@@ -42,6 +42,7 @@ from .partitions import (
     DeltaData,
     classify_map,
     connected_decomposition,
+    count_by_size,
     delta_counterexample,
     delta_data,
     enumerate_partitions,

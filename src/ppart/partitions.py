@@ -10,6 +10,7 @@ and "strict" when it drops strictly along every cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import FlavorError
 from .poset import (
@@ -188,6 +189,47 @@ def enumerate_partitions(P: Poset, flavor: str, max_total: int):
     del assign  # its closure cycle would keep out alive until a full collection
     out.sort()
     return out
+
+
+def count_by_size(P: Poset, flavor: str, N: int) -> list[int]:
+    """c[d] for d = 0..N: the number of vectors of the flavor with |f| = d,
+    counted by their chains of level ideals, not listed.
+
+    f is the chain P = A_0 >= A_1 >= ... of its level ideals A_v =
+    {f >= v}, so |f| = |A_1| + |A_2| + ...  (Stanley, Ordered structures
+    and partitions, 1972).  A step A > B of the chain is admissible when
+    the level set A - B holds both ends of no cover a < b along which the
+    flavor drops strictly: when B holds every such a with b in A.  With
+    F(0) = 1 and, summed over the ideals B < A with A > B admissible,
+    F(A) = sum q^|B| F(B) / (1 - q^|A|), the answer is F(P).  Only the
+    ideals of size at most N, and P, are met, each pair of them once:
+    the cost grows with the square of their number, not with the number
+    of vectors.  Nothing here reads maj or a linear extension."""
+    _check_flavor(flavor)
+    below = [0] * (P.n + 1)  # below[b]: the a of the strict covers a < b
+    for a, b in P.covers:
+        if flavor == STRICT or (flavor == STANDARD and a > b):
+            below[b] |= 1 << (a - 1)
+    small, level = [0], [0]  # the ideals of size <= N, by size
+    for _ in range(min(N, P.n)):
+        level = {I | 1 << (p - 1) for I in level
+                 for p in P.minimal_elements(P.full_mask & ~I)}
+        small += level
+    F = {0: [1] + [0] * N}
+    for A in small[1:] + ([P.full_mask] if P.n > N else []):
+        need = 0  # what B must hold for A > B to be admissible
+        for b in members(A):
+            need |= below[b]
+        c = [0] * (N + 1)
+        for B, g in F.items():  # every ideal below A comes before it
+            if not B & ~A and not need & ~B:
+                s = B.bit_count()
+                c[s:] = map(add, c[s:], g)  # c += q^|B| F(B)
+        a = A.bit_count()
+        for d in range(a, N + 1):  # c /= 1 - q^|A|
+            c[d] += c[d - a]
+        F[A] = c
+    return F[P.full_mask]
 
 
 # -- minimal standard vector and chain conditions -----------------------

@@ -284,10 +284,11 @@ def _graded(P: Poset, grading: str, N: int):
 # -- trivially-intersecting multisets -----------------------------------
 
 
-def _iter_trivial_multisets(P: Poset, N: int, weighted: bool):
+def _iter_trivial_multisets(P: Poset, N: int, weighted: bool, faces: bool = False):
     """Multisets of pairwise trivially-intersecting connected ideals of
     total degree at most N, an ideal's degree being its size when
-    weighted and 1 otherwise.
+    weighted and 1 otherwise; with faces, only those of multiplicity one,
+    the faces of the flag complex of Pi.
 
     Yields lists of (ideal mask, multiplicity).  order is sorted by size,
     so the first ideal over budget ends a node's loop."""
@@ -302,7 +303,7 @@ def _iter_trivial_multisets(P: Poset, N: int, weighted: bool):
                 break
             if blocked >> i & 1:
                 continue
-            for m in range(1, budget // w + 1):
+            for m in range(1, (1 if faces else budget // w) + 1):
                 chosen.append((J, m))
                 yield from rec(i + 1, budget - m * w, chosen, blocked | clash[i])
                 chosen.pop()
@@ -317,7 +318,12 @@ def _multiset_series(P: Poset, flavor: str, out: TruncSeries, key) -> TruncSerie
 
     Each weak vector arises from exactly one multiset, of size nu(f), and
     its total x degree is the multiset's weight, so every key is within
-    the truncation and is counted straight into out."""
+    the truncation and is counted straight into out.  The weak series
+    without x variables keeps only nu, so it is counted from the faces
+    of the flag complex (`_t_by_faces`) instead of walking the multisets."""
+    if flavor == WEAK and not out.nx:
+        out.coeffs = _t_by_faces(P, out.trunc)
+        return out
     counts = {}
     for ms in _iter_trivial_multisets(P, out.trunc, weighted=out.nx > 0):
         f = _multiset_vector(P.n, ms)
@@ -326,6 +332,24 @@ def _multiset_series(P: Poset, flavor: str, out: TruncSeries, key) -> TruncSerie
             counts[k] = counts.get(k, 0) + 1
     out.coeffs = counts
     return out
+
+
+def _t_by_faces(P: Poset, N: int) -> dict:
+    """Coefficients of t^0..t^N of the sum of t^nu(f) over the weak
+    vectors, as TruncSeries keys.  A multiset of size k is a face of the
+    flag complex of Pi, of some size i, with multiplicities summing to k,
+    which can be spread over its i ideals in C(k - 1, i - 1) ways; so with
+    f_i the number of faces of size i, t^k has coefficient the sum of
+    f_i C(k - 1, i - 1) for i up to min(k, top), top the largest face
+    size (the Stanley-Reisner face expansion)."""
+    f = [0] * (N + 1)
+    for face in _iter_trivial_multisets(P, N, weighted=False, faces=True):
+        f[len(face)] += 1
+    top = max(i for i, c in enumerate(f) if c)
+    coeffs = {(0, ()): 1}
+    for k in range(1, N + 1):
+        coeffs[(k, ())] = sum(f[i] * math.comb(k - 1, i - 1) for i in range(1, min(k, top) + 1))
+    return coeffs
 
 
 def initial_quotient_hilbert(P: Poset, grading: str, N: int) -> TruncSeries:
@@ -343,7 +367,10 @@ def hilbert_truncated(P: Poset, flavor: str, grading: str, N: int) -> TruncSerie
 
     The q grading (and the x grading of a one-element poset, whose keys
     are the same) counts vectors by |f| alone, by Stanley's theorem (see
-    `_stanley_q`); the x, (t,x) and (t,q) gradings enumerate the vectors."""
+    `_stanley_q`).  The t grading counts them by nu: the weak flavor from
+    the faces of the flag complex of Pi, the standard and strict flavors
+    by walking the trivially-intersecting multisets (`_multiset_series`).
+    The x, (t,x) and (t,q) gradings enumerate the vectors."""
     _check_flavor(flavor)
     out, key = _graded(P, grading, N)
     if not out.nx:

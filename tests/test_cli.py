@@ -10,11 +10,13 @@ from collections import Counter
 import pytest
 
 from cli_golden import FIXTURES, GOLDEN, capture, case_name, iter_cases, run_cli
-from ppart import cli
+from ppart import cli, series
 from ppart.cli import main
 from ppart.errors import CapError, InputError, PPartError
+from ppart.fixtures import fixture
 from ppart.partitions import enumerate_partitions
 from ppart.poset import parse_poset
+from ppart.qpoly import QPolynomial
 
 EX33 = str(FIXTURES / "ex33.poset")
 FIG1 = str(FIXTURES / "fig1.poset")
@@ -228,6 +230,30 @@ class TestPayloads:
         for check, line in zip(checks, lines):
             assert re.fullmatch(
                 rf" *{check['status']}  {check['name']}  \d+\.\d{{3}}s", line)
+
+    def test_selftest_eq_3_5_check_compares(self, monkeypatch):
+        # fig1's maj polynomial with one coefficient off by one: the count
+        # of the standard vectors must disagree with it
+        coeffs = list(cli.maj_polynomial(fixture("fig1")).coeffs)
+        coeffs[3] += 1
+        monkeypatch.setattr(cli, "maj_polynomial", lambda P, cap: QPolynomial(coeffs))
+        code, out = run_cli(["selftest", FIG1, "--trunc", "6"])
+        assert code == 3
+        checks = {c["name"]: c["status"] for c in json.loads(out)["results"]["identities"]}
+        assert checks["maj_equals_standard_series"] == "fail"
+
+    def test_hilbert_deep_weak_t_truncation(self):
+        # the weak t series is counted from the faces of the flag complex;
+        # the walk over every multiset of size <= 1000 would not finish
+        start = time.perf_counter()
+        code, out = run_cli(["hilbert", FIG1, "--grading", "t", "--trunc", "1000"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        terms = json.loads(out)["results"]["series"]["terms"]
+        assert [t for t, _, _ in terms] == list(range(1001))
+        walk = Counter(sum(m for _, m in ms)
+                       for ms in series._iter_trivial_multisets(fixture("fig1"), 6, weighted=False))
+        assert [c for _, _, c in terms[:7]] == [walk[k] for k in range(7)]
 
     def test_complex_builds_the_complex_once(self, monkeypatch):
         import ppart.complexes

@@ -20,11 +20,13 @@ from ppart import (
     classify,
     clashes,
     connected_ideals,
+    count_by_size,
     count_ideals,
     delta_complex,
     enumerate_partitions,
     hilbert_truncated,
     induced_occurrences,
+    initial_quotient_hilbert,
     linear_extensions,
     nontrivial_pairs,
     numerator_polynomial,
@@ -49,6 +51,9 @@ CALLS = {
     "count_ideals": lambda: count_ideals(FIG1),
     "principal_ideals": lambda: PForest((0, 1, 1, 2)).principal_ideals(),
     "hilbert_truncated t": lambda: hilbert_truncated(FIG1, "weak", "t", 4),
+    "hilbert_truncated standard t": lambda: hilbert_truncated(FIG1, "standard", "t", 4),
+    "initial_quotient_hilbert t": lambda: initial_quotient_hilbert(FIG1, "t", 4),
+    "count_by_size": lambda: count_by_size(FIG1, "standard", 20),
     "numerator_polynomial": lambda: numerator_polynomial(FIG1, 20),
 }
 

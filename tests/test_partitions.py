@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -7,6 +8,7 @@ from ppart import (
     Poset,
     classify_map,
     connected_decomposition,
+    count_by_size,
     delta_counterexample,
     delta_data,
     enumerate_partitions,
@@ -21,7 +23,8 @@ from ppart import (
     stanley_delta_chain,
     trivially_intersecting,
 )
-from ppart.fixtures import EX33, FIG1, P1, P2, P3
+from conftest import random_posets
+from ppart.fixtures import BOWTIE, EX33, FIG1, FORB1, FORB2, FORB3, P1, P2, P3
 
 CHAIN2 = Poset(2, [(1, 2)])
 FIG1_F = (5, 4, 2, 1, 2, 4, 0, 1)
@@ -220,6 +223,49 @@ class TestEnumerate:
                 ]
                 assert got == sorted(brute)
 
+
+def _sizes_by_enumeration(P, flavor, N):
+    """c[d] for d = 0..N the plain way: the vectors of the flavor listed
+    and counted by |f|."""
+    counts = Counter(sum(f) for f in enumerate_partitions(P, flavor, N))
+    return [counts[d] for d in range(N + 1)]
+
+
+class TestCountBySize:
+    """count_by_size, by chains of level ideals, against the enumeration.
+    One enumeration up to the deepest N serves every shallower one."""
+
+    FLAVORS = ("weak", "standard", "strict")
+
+    def _check(self, P, Ns):
+        for flavor in self.FLAVORS:
+            expect = _sizes_by_enumeration(P, flavor, max(Ns))
+            for N in Ns:
+                assert count_by_size(P, flavor, N) == expect[: N + 1], (P, flavor, N)
+
+    def test_every_small_poset(self, posets3, posets4, posets5):
+        small = [P for n in (1, 2) for P in enumerate_posets(n)] + posets3 + posets4 + posets5
+        for P in small:
+            self._check(P, (0, 1, 5, 9))
+
+    def test_random_posets(self):
+        for P in random_posets(15, 40, (6, 7, 8)):
+            self._check(P, (0, 1, 5, 9))
+
+    def test_fixtures(self):
+        for P in (P1, P2, P3, FORB1, FORB2, FORB3, BOWTIE, EX33, FIG1):
+            self._check(P, (0, 1, 5, 9, 12))
+
+    def test_selftest_depth_on_fig1(self):
+        # the eq. 3.5 check of `ppart selftest` counts fig1's standard
+        # vectors up to the degree of its maj polynomial, 20
+        expect = _sizes_by_enumeration(FIG1, "standard", 20)
+        assert sum(expect) == 84171
+        assert count_by_size(FIG1, "standard", 20) == expect
+
+    def test_unknown_flavor_rejected(self):
+        with pytest.raises(FlavorError):
+            count_by_size(P2, "bogus", 3)
 
 class TestDelta:
     def test_p3(self):

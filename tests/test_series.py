@@ -652,6 +652,45 @@ class TestTrivialMultisets:
         assert len(looked) <= bound < unpruned
 
 
+def _t_by_multisets(P, N):
+    """The weak t series the plain way: every trivially-intersecting
+    multiset of connected ideals of size <= N, counted by its size."""
+    sizes = Counter(
+        sum(m for _, m in ms) for ms in series._iter_trivial_multisets(P, N, weighted=False)
+    )
+    return {(k, ()): c for k, c in sizes.items()}
+
+
+class TestFaceCount:
+    """The weak t series from the faces of the flag complex against the
+    multiset walk it replaced, through both public entry points.  One walk
+    up to the deepest N serves every shallower one."""
+
+    @staticmethod
+    def _check(P, Ns):
+        walk = _t_by_multisets(P, max(Ns))
+        for N in Ns:
+            expect = {k: c for k, c in walk.items() if k[0] <= N}
+            assert hilbert_truncated(P, "weak", "t", N).coeffs == expect, (P, N)
+            assert initial_quotient_hilbert(P, "t", N).coeffs == expect, (P, N)
+
+    def test_every_small_poset(self, posets3, posets4, posets5):
+        # N = 9 is above every face size when n <= 4: a face is a laminar
+        # family, of at most 2n - 1 ideals
+        for P in [P for n in (1, 2) for P in enumerate_posets(n)] + posets3 + posets4:
+            self._check(P, (0, 1, 5, 9))
+        for P in posets5:
+            self._check(P, (0, 1, 3))
+
+    def test_random_posets(self):
+        for P in random_posets(16, 40, (6, 7, 8)):
+            self._check(P, (0, 1, 6))
+
+    def test_fixtures(self):
+        for P in FIXTURES:
+            self._check(P, (0, 1, 5, 8))
+
+
 class TestInitialQuotient:
     def test_matches_weak_series(self):
         for P in (P1, P2, P3, EX33, CHAIN3):
