@@ -30,19 +30,16 @@ FLAVORS = (WEAK, STANDARD, STRICT)
 NONE = "none"
 
 
-def _cover_ok(flavor: str, a: int, b: int, fa: int, fb: int) -> bool:
-    # Checking covers suffices: any chain witnessing i <_P j with i > j
-    # as integers must contain at least one label-decreasing cover.
-    if flavor == WEAK:
-        return fa >= fb
-    if flavor == STANDARD:
-        return fa > fb if a > b else fa >= fb
-    return fa > fb
-
-
 def _check_flavor(flavor: str) -> None:
     if flavor not in FLAVORS:
         raise FlavorError(f"unknown flavor {flavor!r}")
+
+
+def _strict_covers(P: Poset, flavor: str) -> list[tuple[int, int]]:
+    """The covers a < b along which the vectors of the flavor drop
+    strictly: none for weak, those with a > b for standard, all for strict."""
+    return [(a, b) for a, b in P.covers
+            if flavor == STRICT or (flavor == STANDARD and a > b)]
 
 
 def flavor_labelling(P: Poset, flavor: str) -> Poset:
@@ -60,18 +57,21 @@ def flavor_labelling(P: Poset, flavor: str) -> Poset:
 
 
 def satisfies(P: Poset, f, flavor: str) -> bool:
-    return all(_cover_ok(flavor, a, b, f[a - 1], f[b - 1]) for a, b in P.covers)
+    _check_flavor(flavor)
+    cls = classify_map(P, f)
+    return cls != NONE and FLAVORS.index(cls) >= FLAVORS.index(flavor)
 
 
 def classify_map(P: Poset, f) -> str:
-    """Most restrictive class among strict/standard/weak that f satisfies."""
-    if not satisfies(P, f, WEAK):
-        return NONE
-    if satisfies(P, f, STRICT):
-        return STRICT
-    if satisfies(P, f, STANDARD):
-        return STANDARD
-    return WEAK
+    """Most restrictive class among strict/standard/weak that f satisfies, in
+    one pass: f(a) = f(b) on a cover a < b rules out strict, and standard if a > b."""
+    cls = STRICT
+    for a, b in P.covers:
+        if f[a - 1] < f[b - 1]:
+            return NONE
+        if f[a - 1] == f[b - 1]:
+            cls = WEAK if a > b or cls == WEAK else STANDARD
+    return cls
 
 
 def is_standard(P: Poset, f) -> bool:
@@ -207,9 +207,8 @@ def count_by_size(P: Poset, flavor: str, N: int) -> list[int]:
     of vectors.  Nothing here reads maj or a linear extension."""
     _check_flavor(flavor)
     below = [0] * (P.n + 1)  # below[b]: the a of the strict covers a < b
-    for a, b in P.covers:
-        if flavor == STRICT or (flavor == STANDARD and a > b):
-            below[b] |= 1 << (a - 1)
+    for a, b in _strict_covers(P, flavor):
+        below[b] |= 1 << (a - 1)
     small, level = [0], [0]  # the ideals of size <= N, by size
     for _ in range(min(N, P.n)):
         level = {I | 1 << (p - 1) for I in level

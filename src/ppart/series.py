@@ -9,13 +9,17 @@ divergent) is truncated by t degree.
 Gradings accepted everywhere: "x-multi" (alias "x"), "(t,x)" ("tx"),
 "(t,q)" ("tq"), "q", and "t".  `_GRADINGS` gives the shape of each
 grading's series, and `_graded` is the one place that turns a value
-vector into a monomial of that shape.
+vector into a monomial of that shape.  Each grading has one counting
+engine, whatever the flavor: faces of the flag complex of Pi for t,
+Stanley's theorem for q, and listing the vectors for x, (t,x) and (t,q).
 """
 
 from __future__ import annotations
 
 import math
-from operator import add
+from collections import Counter
+from functools import reduce
+from operator import add, or_
 
 from .errors import ArgError, CapError, InstabilityError, LabelError, NotFWDError
 from .extensions import fold_extensions, maj_coefficients
@@ -23,10 +27,10 @@ from .partitions import (
     WEAK,
     _check_flavor,
     _multiset_vector,
+    _strict_covers,
     enumerate_partitions,
     flavor_labelling,
     nu,
-    satisfies,
 )
 from .poset import (
     Poset,
@@ -284,78 +288,73 @@ def _graded(P: Poset, grading: str, N: int):
 # -- trivially-intersecting multisets -----------------------------------
 
 
-def _iter_trivial_multisets(P: Poset, N: int, weighted: bool, faces: bool = False):
+def _iter_trivial_multisets(P: Poset, N: int, faces: bool = False):
     """Multisets of pairwise trivially-intersecting connected ideals of
-    total degree at most N, an ideal's degree being its size when
-    weighted and 1 otherwise; with faces, only those of multiplicity one,
+    total size at most N, an ideal weighing its number of elements; with
+    faces, the sets of at most N such ideals, each of multiplicity one:
     the faces of the flag complex of Pi.
 
-    Yields lists of (ideal mask, multiplicity).  order is sorted by size,
-    so the first ideal over budget ends a node's loop."""
+    Yields tuples of (ideal mask, multiplicity), depth first from a stack
+    of open nodes.  order is sorted by size, so the first ideal over
+    budget ends a node's loop."""
     order, clash = connected_ideals(P), clashes(P)
-
-    def rec(idx, budget, chosen, blocked):  # blocked: the clashes of chosen
-        yield list(chosen)
+    stack = [(0, N, (), 0)]  # (next index, budget, chosen, the clashes of chosen)
+    while stack:
+        idx, budget, chosen, blocked = stack.pop()
+        yield chosen
         for i in range(idx, len(order)):
             J = order[i]
-            w = J.bit_count() if weighted else 1
+            w = 1 if faces else J.bit_count()
             if w > budget:
                 break
-            if blocked >> i & 1:
-                continue
-            for m in range(1, (1 if faces else budget // w) + 1):
-                chosen.append((J, m))
-                yield from rec(i + 1, budget - m * w, chosen, blocked | clash[i])
-                chosen.pop()
-
-    yield from rec(0, N, [], 0)
-    del rec  # its closure cycle would outlive the walk until a full collection
+            if not blocked >> i & 1:
+                for m in range(1, (1 if faces else budget // w) + 1):
+                    stack.append((i + 1, budget - m * w, chosen + ((J, m),), blocked | clash[i]))
 
 
-def _multiset_series(P: Poset, flavor: str, out: TruncSeries, key) -> TruncSeries:
-    """Add t^nu x^f to out for every trivially-intersecting multiset of
-    connected ideals up to out's truncation whose vector f has the flavor.
+def _t_by_faces(P: Poset, flavor: str, N: int) -> dict:
+    """Coefficients of t^0..t^N of the sum of t^nu(f) over the vectors of
+    the flavor, as TruncSeries keys, counted by faces, not multisets.
 
-    Each weak vector arises from exactly one multiset, of size nu(f), and
-    its total x degree is the multiset's weight, so every key is within
-    the truncation and is counted straight into out.  The weak series
-    without x variables keeps only nu, so it is counted from the faces
-    of the flag complex (`_t_by_faces`) instead of walking the multisets."""
-    if flavor == WEAK and not out.nx:
-        out.coeffs = _t_by_faces(P, out.trunc)
-        return out
-    counts = {}
-    for ms in _iter_trivial_multisets(P, out.trunc, weighted=out.nx > 0):
-        f = _multiset_vector(P.n, ms)
-        if flavor == WEAK or satisfies(P, f, flavor):
-            k = key(f, sum(m for _, m in ms))
-            counts[k] = counts.get(k, 0) + 1
-    out.coeffs = counts
-    return out
-
-
-def _t_by_faces(P: Poset, N: int) -> dict:
-    """Coefficients of t^0..t^N of the sum of t^nu(f) over the weak
-    vectors, as TruncSeries keys.  A multiset of size k is a face of the
-    flag complex of Pi, of some size i, with multiplicities summing to k,
-    which can be spread over its i ideals in C(k - 1, i - 1) ways; so with
-    f_i the number of faces of size i, t^k has coefficient the sum of
-    f_i C(k - 1, i - 1) for i up to min(k, top), top the largest face
-    size (the Stanley-Reisner face expansion)."""
-    f = [0] * (N + 1)
-    for face in _iter_trivial_multisets(P, N, weighted=False, faces=True):
-        f[len(face)] += 1
-    top = max(i for i, c in enumerate(f) if c)
-    coeffs = {(0, ()): 1}
+    A weak f is a multiset of nu(f) trivially-intersecting connected
+    ideals whose support is a face of the flag complex of Pi.  Along a
+    cover a < b, f(a) - f(b) is the multiplicity of the ideals holding a
+    but not b, so a face counts when it separates every cover along which
+    the flavor drops strictly.  A face of i ideals carries C(k - 1, i - 1)
+    multisets of size k, so with f_i the counted faces of size i, t^k has
+    coefficient the sum of f_i C(k - 1, i - 1) (the Stanley-Reisner face
+    expansion); t^0 counts the empty face."""
+    faces = _iter_trivial_multisets(P, N, faces=True)
+    strict = _strict_covers(P, flavor)
+    if strict:  # a weak walk would only pay for the test
+        sep = {J: mask_of(k for k, (a, b) in enumerate(strict, 1)  # bit k - 1: the k-th cover
+                          if J >> (a - 1) & 1 and not J >> (b - 1) & 1)
+               for J in connected_ideals(P)}
+        need = (1 << len(strict)) - 1
+        faces = (face for face in faces if reduce(or_, (sep[J] for J, _ in face), 0) == need)
+    sizes = Counter(map(len, faces))
+    coeffs = {(0, ()): 1} if sizes[0] else {}
     for k in range(1, N + 1):
-        coeffs[(k, ())] = sum(f[i] * math.comb(k - 1, i - 1) for i in range(1, min(k, top) + 1))
+        c = sum(f * math.comb(k - 1, i - 1) for i, f in sizes.items() if 0 < i <= k)
+        if c:
+            coeffs[(k, ())] = c
     return coeffs
 
 
 def initial_quotient_hilbert(P: Poset, grading: str, N: int) -> TruncSeries:
     """Hilbert series of the quotient by the initial ideal, counted as
-    trivially-intersecting multisets of connected ideals by total weight."""
-    return _multiset_series(P, WEAK, *_graded(P, grading, N))
+    trivially-intersecting multisets of connected ideals by total weight,
+    each of them one weak vector (the t grading by `_t_by_faces`)."""
+    out, key = _graded(P, grading, N)
+    if not out.nx:
+        out.coeffs = _t_by_faces(P, WEAK, N)
+        return out
+    counts = {}  # a multiset's weight is its vector's x degree, within the truncation
+    for ms in _iter_trivial_multisets(P, N):
+        k = key(_multiset_vector(P.n, ms), sum(m for _, m in ms))
+        counts[k] = counts.get(k, 0) + 1
+    out.coeffs = counts
+    return out
 
 
 # -- the main operations ------------------------------------------------
@@ -365,25 +364,25 @@ def hilbert_truncated(P: Poset, flavor: str, grading: str, N: int) -> TruncSerie
     """Sum of t^nu(f) x^f over value vectors of the given flavor,
     truncated at total x degree N (or nu <= N for the pure t grading).
 
-    The q grading (and the x grading of a one-element poset, whose keys
-    are the same) counts vectors by |f| alone, by Stanley's theorem (see
-    `_stanley_q`).  The t grading counts them by nu: the weak flavor from
-    the faces of the flag complex of Pi, the standard and strict flavors
-    by walking the trivially-intersecting multisets (`_multiset_series`).
-    The x, (t,x) and (t,q) gradings enumerate the vectors."""
+    One engine per grading, whatever the flavor.  The t grading counts
+    vectors by nu alone, from the faces of the flag complex of Pi that
+    separate the flavor's strict covers (`_t_by_faces`); enumerating by
+    |f| is hopeless when only nu is bounded.  The q grading (and the x
+    grading of a one-element poset, whose keys are the same) counts them
+    by |f| alone, by Stanley's theorem (`_stanley_q`).  The x, (t,x) and
+    (t,q) gradings enumerate the vectors."""
     _check_flavor(flavor)
     out, key = _graded(P, grading, N)
     if not out.nx:
-        # Enumerating by |f| is hopeless when only nu is bounded.
-        return _multiset_series(P, flavor, out, key)
-    if out.nx == 1 and not out.has_t:
+        out.coeffs = _t_by_faces(P, flavor, N)
+    elif out.nx == 1 and not out.has_t:
         out.coeffs = _stanley_q(P, flavor, N)
-        return out
-    counts = {}  # every enumerated f has |f| <= N, within the truncation
-    for f in enumerate_partitions(P, flavor, N):
-        k = key(f, nu(P, f) if out.has_t else 0)
-        counts[k] = counts.get(k, 0) + 1
-    out.coeffs = counts
+    else:
+        counts = {}  # every enumerated f has |f| <= N, within the truncation
+        for f in enumerate_partitions(P, flavor, N):
+            k = key(f, nu(P, f) if out.has_t else 0)
+            counts[k] = counts.get(k, 0) + 1
+        out.coeffs = counts
     return out
 
 

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
-from ppart import Poset, enumerate_posets
+from ppart import Poset, clashes, connected_ideals, enumerate_posets, members
+from ppart.partitions import FLAVORS, classify_map
 
 
 def random_poset(rng, n, p=0.3):
@@ -35,3 +37,32 @@ def posets4():
 @pytest.fixture(scope="session")
 def posets5():
     return list(enumerate_posets(5))
+
+
+def t_series_by_walk(P, N):
+    """The t series of every flavor the plain way, as {flavor: coeffs}:
+    each multiset of pairwise trivially-intersecting connected ideals of
+    size nu <= N adds t^nu to the flavors its vector f has, sorted out by
+    `classify_map` in one walk."""
+    order, clash = connected_ideals(P), clashes(P)
+    elements = [members(J) for J in order]
+    by_class = Counter()  # (class of f, nu)
+    f = [0] * P.n  # the vector of the multiset chosen so far
+
+    def rec(idx, size, blocked):  # blocked: the clashes of the ideals chosen
+        by_class[classify_map(P, f), size] += 1
+        for i in range(idx, len(order)):
+            if not blocked >> i & 1:
+                for m in range(1, N - size + 1):  # ideal i with multiplicity m
+                    for p in elements[i]:
+                        f[p - 1] += 1
+                    rec(i + 1, size + m, blocked | clash[i])
+                for p in elements[i]:  # take its N - size copies out again
+                    f[p - 1] -= N - size
+
+    rec(0, 0, 0)
+    out = {flavor: Counter() for flavor in FLAVORS}
+    for (cls, nu), c in by_class.items():
+        for flavor in FLAVORS[:FLAVORS.index(cls) + 1]:  # cls and every weaker flavor
+            out[flavor][(nu, ())] += c
+    return {flavor: dict(c) for flavor, c in out.items()}

@@ -10,7 +10,8 @@ from collections import Counter
 import pytest
 
 from cli_golden import FIXTURES, GOLDEN, capture, case_name, iter_cases, run_cli
-from ppart import cli, series
+from conftest import t_series_by_walk
+from ppart import cli
 from ppart.cli import main
 from ppart.errors import CapError, InputError, PPartError
 from ppart.fixtures import fixture
@@ -242,18 +243,19 @@ class TestPayloads:
         checks = {c["name"]: c["status"] for c in json.loads(out)["results"]["identities"]}
         assert checks["maj_equals_standard_series"] == "fail"
 
-    def test_hilbert_deep_weak_t_truncation(self):
-        # the weak t series is counted from the faces of the flag complex;
-        # the walk over every multiset of size <= 1000 would not finish
+    @pytest.mark.parametrize("flavor", ["weak", "standard", "strict"])
+    def test_hilbert_deep_t_truncation(self, flavor):
+        # the t series is counted from the faces of the flag complex; the
+        # walk over every multiset of size <= 1000 would not finish
         start = time.perf_counter()
-        code, out = run_cli(["hilbert", FIG1, "--grading", "t", "--trunc", "1000"])
+        code, out = run_cli(["hilbert", FIG1, "--flavor", flavor, "--grading", "t",
+                             "--trunc", "1000"])
         assert time.perf_counter() - start < 2.0
         assert code == 0
         terms = json.loads(out)["results"]["series"]["terms"]
-        assert [t for t, _, _ in terms] == list(range(1001))
-        walk = Counter(sum(m for _, m in ms)
-                       for ms in series._iter_trivial_multisets(fixture("fig1"), 6, weighted=False))
-        assert [c for _, _, c in terms[:7]] == [walk[k] for k in range(7)]
+        assert [t for t, _, _ in terms] == list(range(terms[0][0], 1001))
+        walk = t_series_by_walk(fixture("fig1"), 6)[flavor]
+        assert {(t, ()): c for t, _, c in terms if t <= 6} == walk
 
     def test_complex_builds_the_complex_once(self, monkeypatch):
         import ppart.complexes

@@ -1,7 +1,9 @@
-"""Every name a library module imports at top level is used in it.
+"""Every name a library module imports at top level is used in it, and
+every module-level private function or class is referenced in the library.
 
-A stdlib check by `ast`: an import left behind when its last use goes
-fails here.  `__init__.py` is skipped, since it imports to re-export.
+Stdlib checks by `ast`: an import left behind when its last use goes, or a
+helper orphaned when its last caller goes, fails here.  `__init__.py` is
+skipped by the import check, since it imports to re-export.
 """
 
 import ast
@@ -36,3 +38,35 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     source = "from __future__ import annotations\nimport itertools\nimport math\nmath.pi\n"
     assert unused_imports(source) == ["itertools (line 2)"]
+
+
+def orphaned_privates(sources: dict[str, str]) -> list[str]:
+    """The module-level `_private` functions and classes of the given
+    modules that no module refers to by name or attribute."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted(
+        f"{name}: {node.name} (line {node.lineno})"
+        for name, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in referenced
+    )
+
+
+def test_no_orphaned_private_helpers():
+    assert orphaned_privates({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def test_detects_an_orphaned_helper():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _orphan():\n    pass\n\nclass _Kept:\n    pass\n",
+        "b.py": "from a import _used\nimport a\n_used()\na._Kept()\n",
+    }
+    assert orphaned_privates(sources) == ["a.py: _orphan (line 4)"]

@@ -54,6 +54,25 @@ class TestClassify:
     def test_none(self):
         assert classify_map(CHAIN2, (0, 1)) == "none"
 
+    def test_one_pass_matches_the_definition(self, posets3):
+        # the flavors f has, by their definition on the covers a < b
+        def held(P, f):
+            drops = [(f[a - 1] - f[b - 1], a > b) for a, b in P.covers]
+            return {"weak": all(d >= 0 for d, _ in drops),
+                    "standard": all(d > 0 if down else d >= 0 for d, down in drops),
+                    "strict": all(d > 0 for d, _ in drops)}
+
+        for P in posets3 + list(enumerate_posets(4)):
+            for f in itertools.product(range(3), repeat=P.n):
+                h = held(P, f)
+                assert {flavor: satisfies(P, f, flavor) for flavor in h} == h, (P, f)
+                strongest = [flavor for flavor in ("strict", "standard", "weak") if h[flavor]]
+                assert classify_map(P, f) == (strongest + ["none"])[0], (P, f)
+
+    def test_unknown_flavor(self):
+        with pytest.raises(FlavorError):
+            satisfies(P2, (0, 0, 0), "bogus")
+
 
 class TestNested:
     def test_fig1(self):

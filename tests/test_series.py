@@ -38,8 +38,8 @@ from ppart import (
     rational_sum_truncated,
     trivially_intersecting,
 )
-from conftest import random_posets
-from ppart import extensions, series
+from conftest import random_posets, t_series_by_walk
+from ppart import extensions, partitions, series
 from ppart.extensions import DEFAULT_CAP
 from ppart.fixtures import BOWTIE, EX33, FIG1, FORB1, FORB2, FORB3, P1, P2, P3
 from ppart.partitions import WEAK, _multiset_vector
@@ -608,6 +608,7 @@ class TestPiInPosetOnly:
                 initial_quotient_hilbert(Q, "x", 6),
                 initial_quotient_hilbert(Q, "tx", 6),
                 hilbert_truncated(Q, "weak", "t", 4),
+                hilbert_truncated(Q, "strict", "t", 4),
             ]
 
         def fresh():
@@ -642,7 +643,7 @@ class TestTrivialMultisets:
 
         monkeypatch.setattr(series, "connected_ideals", lambda Q: Watched(order))
         bound = unpruned = 0
-        for ms in series._iter_trivial_multisets(P, N, weighted=True):
+        for ms in series._iter_trivial_multisets(P, N):
             start = max((order.index(J) + 1 for J, _ in ms), default=0)
             budget = N - sum(J.bit_count() * m for J, m in ms)
             rest = [J.bit_count() for J in order[start:]]
@@ -652,27 +653,21 @@ class TestTrivialMultisets:
         assert len(looked) <= bound < unpruned
 
 
-def _t_by_multisets(P, N):
-    """The weak t series the plain way: every trivially-intersecting
-    multiset of connected ideals of size <= N, counted by its size."""
-    sizes = Counter(
-        sum(m for _, m in ms) for ms in series._iter_trivial_multisets(P, N, weighted=False)
-    )
-    return {(k, ()): c for k, c in sizes.items()}
-
-
 class TestFaceCount:
-    """The weak t series from the faces of the flag complex against the
-    multiset walk it replaced, through both public entry points.  One walk
-    up to the deepest N serves every shallower one."""
+    """The t series from the faces of the flag complex against the walk
+    over every multiset and the flavor test it replaced, in all three
+    flavors and through both public entry points.  One walk up to the
+    deepest N serves every flavor and every shallower N."""
 
     @staticmethod
     def _check(P, Ns):
-        walk = _t_by_multisets(P, max(Ns))
+        walk = t_series_by_walk(P, max(Ns))
         for N in Ns:
-            expect = {k: c for k, c in walk.items() if k[0] <= N}
-            assert hilbert_truncated(P, "weak", "t", N).coeffs == expect, (P, N)
-            assert initial_quotient_hilbert(P, "t", N).coeffs == expect, (P, N)
+            expect = {flavor: {k: c for k, c in coeffs.items() if k[0] <= N}
+                      for flavor, coeffs in walk.items()}
+            for flavor in expect:
+                assert hilbert_truncated(P, flavor, "t", N).coeffs == expect[flavor], (P, flavor, N)
+            assert initial_quotient_hilbert(P, "t", N).coeffs == expect["weak"], (P, N)
 
     def test_every_small_poset(self, posets3, posets4, posets5):
         # N = 9 is above every face size when n <= 4: a face is a laminar
@@ -684,11 +679,30 @@ class TestFaceCount:
 
     def test_random_posets(self):
         for P in random_posets(16, 40, (6, 7, 8)):
-            self._check(P, (0, 1, 6))
+            self._check(P, (0, 1, 5))
 
     def test_fixtures(self):
         for P in FIXTURES:
             self._check(P, (0, 1, 5, 8))
+
+    @pytest.mark.parametrize("P,N", [(CHAIN3, 1), (FIG1, 0)], ids=["chain3", "fig1"])
+    def test_no_face_separates_every_cover(self, P, N):
+        # no face of at most N ideals separates every cover: the empty series
+        assert hilbert_truncated(P, "strict", "t", N).coeffs == {}
+
+    @pytest.mark.parametrize("P", [FIG1, EX33, FORB2], ids=["fig1", "ex33", "forb2"])
+    def test_lists_no_vector(self, monkeypatch, P):
+        expected = t_series_by_walk(P, 6)
+
+        def forbidden(*args):
+            raise AssertionError("the t grading lists no vector")
+
+        for module in (series, partitions):
+            for name in ("satisfies", "_multiset_vector", "enumerate_partitions"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        for flavor, coeffs in expected.items():
+            assert hilbert_truncated(P, flavor, "t", 6).coeffs == coeffs, flavor
+        assert initial_quotient_hilbert(P, "t", 6).coeffs == expected["weak"]
 
 
 class TestInitialQuotient:
