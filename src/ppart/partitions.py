@@ -58,14 +58,16 @@ def flavor_labelling(P: Poset, flavor: str) -> Poset:
 
 def satisfies(P: Poset, f, flavor: str) -> bool:
     _check_flavor(flavor)
-    cls = classify_map(P, f)
-    return cls != NONE and FLAVORS.index(cls) >= FLAVORS.index(flavor)
+    return _classify(P, f) in FLAVORS[FLAVORS.index(flavor):]
 
 
 def classify_map(P: Poset, f) -> str:
-    """Most restrictive class among strict/standard/weak that f satisfies, in
-    one pass: f(a) = f(b) on a cover a < b rules out strict, and standard if a > b."""
-    cls = STRICT
+    """Most restrictive class among strict/standard/weak that f satisfies."""
+    return _classify(P, f)
+
+
+def _classify(P: Poset, f) -> str:
+    cls = STRICT  # in one pass: f(a) = f(b) on a cover a < b rules out strict, standard if a > b
     for a, b in P.covers:
         if f[a - 1] < f[b - 1]:
             return NONE

@@ -679,7 +679,7 @@ class TestFaceCount:
 
     def test_random_posets(self):
         for P in random_posets(16, 40, (6, 7, 8)):
-            self._check(P, (0, 1, 5))
+            self._check(P, (0, 1, 5, 6))
 
     def test_fixtures(self):
         for P in FIXTURES:
