@@ -141,10 +141,10 @@ def _cmd_hilbert(P, args):
 
 
 def _cmd_presentation(P, args):
+    sg = semigroup_ideal(P, cap=args.cap)  # the |L(P)| cap trips before Pi is listed
     pres = presentation_of(P)
     toric, graded, initial = families = pres.rendered()
     text = pres.export(args.format, families)
-    sg = semigroup_ideal(P, cap=args.cap)
     if args.out:  # written after the cap check, so a capped run leaves no file
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import reduce
+from functools import cache, reduce
 from operator import add, or_
 
 from .errors import ArgError, CapError, InstabilityError, LabelError, NotFWDError
@@ -83,16 +83,13 @@ class TruncSeries:
         self.xnames = tuple(xnames) if xnames else tuple(f"x{i+1}" for i in range(nx))
         self.coeffs = {}
 
-    def _deg(self, t, xs):
-        return sum(xs) if self.nx else t
-
     def add_term(self, t, xs, coeff):
         xs = tuple(xs)
         if len(xs) != self.nx:
             raise ArgError("exponent vector length mismatch")
         if t and not self.has_t:
             raise ArgError("t exponent in a t-free series")
-        if self._deg(t, xs) > self.trunc:
+        if _degree((t, xs)) > self.trunc:
             return
         key = (t, xs)
         c = self.coeffs.get(key, 0) + coeff
@@ -143,7 +140,7 @@ class TruncSeries:
         """Terms as (t, xs, c), grouped by truncated degree."""
         buckets = {}
         for (t, xs), c in self.coeffs.items():
-            buckets.setdefault(self._deg(t, xs), []).append((t, xs, c))
+            buckets.setdefault(_degree((t, xs)), []).append((t, xs, c))
         return buckets
 
     def __mul__(self, other):
@@ -263,6 +260,46 @@ def _mul_into(acc, terms_a, terms_b):
             acc[key] = acc.get(key, 0) + c1 * c2
 
 
+# -- times and over 1 - m in place, on dicts (t, xs) -> coefficient; m is a key
+
+
+def _degree(key):  # x degree, or t degree when there is no x variable
+    return sum(key[1]) if key[1] else key[0]
+
+
+def _times_one_minus(c, m, trunc):
+    """c * (1 - m): one subtraction per term with room for m."""
+    if (d := _degree(m)) < 1:
+        raise ArgError("1 - m needs m of positive degree")
+    out, (tm, xm) = dict(c), m
+    for (t, xs), v in c.items():
+        if (sum(xs) if xs else t) + d <= trunc:
+            k = (t + tm, tuple(map(add, xs, xm)))
+            out[k] = out.get(k, 0) - v
+    return {k: v for k, v in out.items() if v}
+
+
+def _over_one_minus(c, m, trunc, shift=False):
+    """c / (1 - m), or c * m / (1 - m) with shift, in one pass by
+    increasing degree: out[k] = c[k] + out[k - m]."""
+    if (d := _degree(m)) < 1:
+        raise ArgError("1 - m needs m of positive degree")
+    out, by_degree, (tm, xm) = {}, [[] for _ in range(trunc + 1)], m
+    for (t, xs), v in c.items():
+        t, xs = (t + tm, tuple(map(add, xs, xm))) if shift else (t, xs)
+        if (e := sum(xs) if xs else t) <= trunc:
+            out[t, xs] = v
+            by_degree[e].append((t, xs))
+    for e in range(trunc + 1 - d):
+        for t, xs in by_degree[e]:
+            if v := out[t, xs]:
+                k = (t + tm, tuple(map(add, xs, xm)))
+                if k not in out:
+                    by_degree[e + d].append(k)
+                out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
 # -- grading plumbing ---------------------------------------------------
 
 
@@ -330,6 +367,8 @@ def _t_by_faces(P: Poset, flavor: str, N: int) -> dict:
         sep = {J: mask_of(k for k, (a, b) in enumerate(strict, 1)  # bit k - 1: the k-th cover
                           if J >> (a - 1) & 1 and not J >> (b - 1) & 1)
                for J in connected_ideals(P)}
+        if sum(sorted((s.bit_count() for s in sep.values()), reverse=True)[:N]) < len(strict):
+            return {}  # the N ideals separating the most covers miss one, so every face does
         need = (1 << len(strict)) - 1
         faces = (face for face in faces if reduce(or_, (sep[J] for J, _ in face), 0) == need)
     sizes = Counter(map(len, faces))
@@ -349,11 +388,9 @@ def initial_quotient_hilbert(P: Poset, grading: str, N: int) -> TruncSeries:
     if not out.nx:
         out.coeffs = _t_by_faces(P, WEAK, N)
         return out
-    counts = {}  # a multiset's weight is its vector's x degree, within the truncation
-    for ms in _iter_trivial_multisets(P, N):
-        k = key(_multiset_vector(P.n, ms), sum(m for _, m in ms))
-        counts[k] = counts.get(k, 0) + 1
-    out.coeffs = counts
+    # a multiset's weight is its vector's x degree, within the truncation
+    out.coeffs = dict(Counter(key(_multiset_vector(P.n, ms), sum(m for _, m in ms))
+                              for ms in _iter_trivial_multisets(P, N)))
     return out
 
 
@@ -377,12 +414,9 @@ def hilbert_truncated(P: Poset, flavor: str, grading: str, N: int) -> TruncSerie
         out.coeffs = _t_by_faces(P, flavor, N)
     elif out.nx == 1 and not out.has_t:
         out.coeffs = _stanley_q(P, flavor, N)
-    else:
-        counts = {}  # every enumerated f has |f| <= N, within the truncation
-        for f in enumerate_partitions(P, flavor, N):
-            k = key(f, nu(P, f) if out.has_t else 0)
-            counts[k] = counts.get(k, 0) + 1
-        out.coeffs = counts
+    else:  # every enumerated f has |f| <= N, within the truncation
+        out.coeffs = dict(Counter(key(f, nu(P, f) if out.has_t else 0)
+                                  for f in enumerate_partitions(P, flavor, N)))
     return out
 
 
@@ -407,30 +441,25 @@ def rational_sum_truncated(P: Poset, grading: str, N: int) -> TruncSeries:
     The factor of prefix i depends only on the prefix ideal and on
     whether i is a descent, so the sum runs over the states of
     `fold_extensions`, not over L(P); the last factor, of the full
-    ideal, is common to all extensions."""
+    ideal, is common to all extensions.  The fold carries coefficient
+    dicts, and a factor divides by 1 - m in place, m = t^c x^J for the
+    prefix, after a shift by m at a descent."""
     if not is_naturally_labelled(P):
         raise LabelError("rational sum needs a naturally labelled poset")
-    zero, key = _graded(P, grading, N)
-    # (prefix mask, is a descent) -> 1/(1 - m), or m/(1 - m) = 1/(1 - m) - 1
-    # at a descent, for the prefix's monomial m = t^c x^J.
-    factors = {}
+    out, key = _graded(P, grading, N)
 
-    def factor(prefix, descent):
-        f = factors.get((prefix, descent))
-        if f is None:
-            c = len(hasse_components(P, prefix))
-            t, xs = key(_multiset_vector(P.n, ((prefix, 1),)), c)
-            f = zero.one_minus(t, xs).inverse()
-            if descent:
-                f = f - f.one_like()
-            factors[(prefix, descent)] = f
-        return f
+    @cache
+    def m(prefix):
+        return key(_multiset_vector(P.n, ((prefix, 1),)), len(hasse_components(P, prefix)))
 
     def step(term, prefix, descent):
-        return term * factor(prefix, descent) if prefix else term
+        return _over_one_minus(term, m(prefix), N, shift=descent) if prefix else term
 
-    total = fold_extensions(P, zero.one_like(), step, add)
-    return total * factor(P.full_mask, False)
+    # every factor has nonnegative coefficients, so no sum cancels to zero
+    total = fold_extensions(P, {(0, (0,) * out.nx): 1}, step,
+                            lambda a, b: {**a, **{k: a.get(k, 0) + v for k, v in b.items()}})
+    out.coeffs = _over_one_minus(total, m(P.full_mask), N)
+    return out
 
 
 def numerator_polynomial(P: Poset, N: int = DEFAULT_TRUNC) -> TruncSeries:
@@ -560,16 +589,17 @@ def _require_fwd(P: Poset):
 def duplication_product(P: Poset, classification, grading: str,
                         N: int = DEFAULT_TRUNC) -> TruncSeries:
     """prod over pairs (1 - t^2 x^{J1} x^{J2}) / prod over ideals (1 - t x^J),
-    truncated.  classification must be a successful recipe."""
+    truncated, by one pass times 1 - m per pair of Pi and one pass over
+    1 - m per connected ideal.  classification must be a successful recipe."""
     if not isinstance(classification, BuildRecipe):
         raise NotFWDError("duplication product needs a classified poset")
     out, key = _graded(P, grading, N)
-    out = out.one_like()
+    c = {(0, (0,) * out.nx): 1}
     for pr in nontrivial_pairs(P):
-        f = _multiset_vector(P.n, ((pr.j1, 1), (pr.j2, 1)))
-        out = out * out.one_minus(*key(f, 2))
+        c = _times_one_minus(c, key(_multiset_vector(P.n, ((pr.j1, 1), (pr.j2, 1))), 2), N)
     for J in connected_ideals(P):
-        out = out * out.one_minus(*key(_multiset_vector(P.n, ((J, 1),)), 1)).inverse()
+        c = _over_one_minus(c, key(_multiset_vector(P.n, ((J, 1),)), 1), N)
+    out.coeffs = c
     return out
 
 

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from ppart import Poset, clashes, connected_ideals, enumerate_posets, members
+from ppart import Poset, TruncSeries, clashes, connected_ideals, enumerate_posets, members
 from ppart.partitions import FLAVORS, classify_map
 
 
@@ -22,6 +22,14 @@ def random_poset(rng, n, p=0.3):
 def random_posets(seed, count, sizes, p=0.3):
     rng = random.Random(seed)
     return [random_poset(rng, rng.choice(sizes), p) for _ in range(count)]
+
+
+def truncated(s, N):
+    """The series s with its terms above degree N dropped: the x degree,
+    or the t degree when there is no x variable."""
+    out = TruncSeries(s.nx, N, s.has_t, xnames=s.xnames)
+    out.coeffs = {(t, xs): c for (t, xs), c in s.coeffs.items() if (sum(xs) if xs else t) <= N}
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -341,6 +341,22 @@ class TestAntichain22:
         assert consistency["expected"] == 1124000727777607680000
 
 
+class TestTree18Bottom:
+    """The root-at-bottom binary tree on 18 elements: |Pi| = 1,889,889,
+    and the L(P) cap trips before Pi is listed."""
+
+    def test_presentation_exits_at_the_cap(self, tmp_path, capsys):
+        path = tmp_path / "tree18.poset"
+        path.write_text("n 18\n" + "".join(f"{k // 2} {k}\n" for k in range(2, 19)))
+        start = time.perf_counter()
+        code = main(["presentation", str(path)])
+        assert time.perf_counter() - start < 2.0
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert out == ""
+        assert "|L(P)| = 5227622400" in err
+
+
 class TestPiListings:
     # (fewest, most) calls of nontrivial_pairs per command.  hook and
     # selftest list Pi only for forests with duplications, where

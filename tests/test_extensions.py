@@ -4,7 +4,7 @@ import random
 import pytest
 
 import ppart.extensions
-from conftest import random_posets
+from conftest import random_posets, truncated
 from ppart import (
     ExplosionError,
     Poset,
@@ -249,8 +249,10 @@ class TestFoldOracle:
     def test_rational_sum(self, grading, small, random_sample):
         naturals = [P for P in small + random_sample if is_naturally_labelled(P)]
         for P in naturals:
-            got = rational_sum_truncated(P, grading, 3)
-            assert got == _rational_sum_by_enumeration(P, grading, 3), P
+            want = _rational_sum_by_enumeration(P, grading, 3)
+            for N in (0, 1, 3):  # a truncated product is exact up to its truncation
+                got = rational_sum_truncated(P, grading, N)
+                assert (got.trunc, got) == (N, truncated(want, N)), (P, N)
 
     def test_cap_applies_to_every_statistic(self):
         for fn in (maj_polynomial, semigroup_ideal, linear_extensions):

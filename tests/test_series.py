@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -33,17 +34,25 @@ from ppart import (
     is_naturally_labelled,
     koszul_inverse,
     maj_polynomial,
+    nontrivial_pairs,
     numerator_polynomial,
     q_int,
     rational_sum_truncated,
     trivially_intersecting,
 )
-from conftest import random_posets, t_series_by_walk
+from conftest import random_posets, t_series_by_walk, truncated
 from ppart import extensions, partitions, series
 from ppart.extensions import DEFAULT_CAP
 from ppart.fixtures import BOWTIE, EX33, FIG1, FORB1, FORB2, FORB3, P1, P2, P3
-from ppart.partitions import WEAK, _multiset_vector
-from ppart.series import _graded, _hook_sizes, _numerator_bounds, normalize_grading
+from ppart.partitions import FLAVORS, WEAK, _multiset_vector, _strict_covers
+from ppart.series import (
+    _graded,
+    _hook_sizes,
+    _numerator_bounds,
+    _over_one_minus,
+    _times_one_minus,
+    normalize_grading,
+)
 
 FIXTURES = [P1, P2, P3, FORB1, FORB2, FORB3, BOWTIE, EX33, FIG1]
 CHAIN2 = Poset(2, [(1, 2)])
@@ -222,6 +231,84 @@ class TestTruncSeries:
             assert a * (b + c) == a * b + a * c
             if a.constant_term() == 1:
                 assert a * a.inverse() == a.one_like()
+
+
+def _monomial(like, t, xs):
+    m = TruncSeries(like.nx, like.trunc, like.has_t)
+    m.add_term(t, xs, 1)
+    return m
+
+
+def _random_monomials(rng, nx, has_t, trunc):
+    """Keys of positive degree, up to one above the truncation."""
+    out = []
+    while len(out) < 4:
+        t = rng.randint(0, 2) if has_t else 0
+        xs = tuple(rng.randint(0, 2) for _ in range(nx))
+        if 0 < (sum(xs) if nx else t) <= trunc + 1:
+            out.append((t, xs))
+    above = (0, (trunc + 1,) + (0,) * (nx - 1)) if nx else (trunc + 1, ())
+    return out + [above]
+
+
+class TestOneMinusKernels:
+    """Multiplying and dividing by 1 - m in place against the series
+    products they replace, in the shapes of the x, (t,x), q, (t,q) and t
+    gradings."""
+
+    @pytest.mark.parametrize("nx, has_t, trunc", SHAPES)
+    def test_match_products(self, nx, has_t, trunc):
+        rng = random.Random(31 * nx + trunc + has_t)
+        for _ in range(15):
+            c = random_series(rng, nx, has_t, trunc, rng.choice((0, 1, -2)))
+            for m in _random_monomials(rng, nx, has_t, trunc):
+                one_minus = c.one_minus(*m)
+                over = c * one_minus.inverse()
+                assert _times_one_minus(c.coeffs, m, trunc) == (c * one_minus).coeffs, m
+                assert _over_one_minus(c.coeffs, m, trunc) == over.coeffs, m
+                shifted = _over_one_minus(c.coeffs, m, trunc, shift=True)
+                assert shifted == (over * _monomial(c, *m)).coeffs, m
+                assert shifted == (over - c).coeffs, m
+
+    @pytest.mark.parametrize("nx, has_t, trunc", SHAPES)
+    def test_cancellation_stores_no_zero(self, nx, has_t, trunc):
+        one = TruncSeries(nx, trunc, has_t).one_like()
+        m = (int(has_t), (1,) + (0,) * (nx - 1)) if nx else (1, ())  # of degree 1
+        m2 = (2 * m[0], tuple(2 * e for e in m[1]))
+        geometric_m = one.one_minus(*m).inverse().coeffs
+        assert _over_one_minus(one.one_minus(*m).coeffs, m, trunc) == one.coeffs
+        assert _times_one_minus(geometric_m, m, trunc) == one.coeffs
+        # (1 - m^2) / (1 - m) = 1 + m: every power from m^2 up cancels in the pass
+        one_minus_m2 = {**one.coeffs, m2: -1}
+        assert _over_one_minus(one_minus_m2, m, trunc) == {**one.coeffs, m: 1}
+        assert _over_one_minus(one_minus_m2, m, trunc, shift=True) == {m: 1, m2: 1}
+        assert _times_one_minus({**one.coeffs, m: 1}, m, trunc) == one_minus_m2
+
+    @pytest.mark.parametrize("nx, has_t, trunc", SHAPES)
+    def test_degree_zero_raises(self, nx, has_t, trunc):
+        c = TruncSeries(nx, trunc, has_t).one_like().coeffs
+        zero_degree = [(0, (0,) * nx)] + ([(1, (0,) * nx)] if has_t and nx else [])
+        for m in zero_degree:
+            for kernel in (_times_one_minus, _over_one_minus):
+                with pytest.raises(ArgError, match="positive degree"):
+                    kernel(c, m, trunc)
+
+    @pytest.mark.parametrize("P", [FIG1, EX33, P1], ids=["fig1", "ex33", "p1"])
+    def test_no_series_product(self, monkeypatch, P):
+        # the rational sum and the duplication product divide in place:
+        # neither multiplies nor inverts a TruncSeries
+        gradings = ("x", "tx", "q", "tq", "t")
+        calls = [(rational_sum_truncated, (P, g, 5)) for g in gradings]
+        if isinstance(r := classify(P), BuildRecipe):
+            calls += [(duplication_product, (P, r, g, 8)) for g in gradings]
+        expected = [f(*args).to_json() for f, args in calls]
+
+        def forbidden(*args):
+            raise AssertionError("a TruncSeries product or inverse")
+
+        for name in ("inverse", "__mul__"):
+            monkeypatch.setattr(series.TruncSeries, name, forbidden)
+        assert [f(*args).to_json() for f, args in calls] == expected
 
 
 class TestHilbert:
@@ -536,7 +623,65 @@ class TestHook:
             hook_count(EX33)
 
 
+def _duplication_by_products(P, grading, N):
+    """Oracle for the duplication product: a series product by 1 - m per
+    pair of Pi and by the inverse of 1 - m per connected ideal."""
+    out, key = _graded(P, grading, N)
+    out = out.one_like()
+    for pr in nontrivial_pairs(P):
+        out = out * out.one_minus(*key(_multiset_vector(P.n, ((pr.j1, 1), (pr.j2, 1))), 2))
+    for J in connected_ideals(P):
+        out = out * out.one_minus(*key(_multiset_vector(P.n, ((J, 1),)), 1)).inverse()
+    return out
+
+
+def _fwd(posets):
+    return [(P, r) for P in posets if isinstance(r := classify(P), BuildRecipe)]
+
+
+def _specialized(s, P, grading):
+    """The (t,x) series s in a grading with an x variable: each term
+    t^nu x^f moves to the grading's key of (f, nu)."""
+    out, key = _graded(P, grading, s.trunc)
+    for (t, xs), c in s.coeffs.items():
+        out.add_term(*key(xs, t), c)
+    return out
+
+
 class TestDuplicationProduct:
+    """The in-place passes against the series products they replace."""
+
+    GRADINGS = ("x", "tx", "q", "tq", "t")
+
+    def _check(self, fwd, Ns, products=GRADINGS):
+        """Each grading against one product at the deepest N, since a
+        truncated product is exact in every degree up to its truncation.
+        A grading with an x variable but no product of its own is checked
+        against the (t,x) product specialized to it."""
+        for P, r in fwd:
+            want = {g: _duplication_by_products(P, g, max(Ns)) for g in products}
+            for grading in self.GRADINGS:
+                if grading not in want:
+                    want[grading] = _specialized(want["tx"], P, grading)
+                for N in Ns:
+                    got = duplication_product(P, r, grading, N)
+                    assert (got.trunc, got) == (N, truncated(want[grading], N)), (P, grading, N)
+
+    def test_every_small_fwd_poset(self, posets3, posets4, posets5):
+        # 2596 of the 4231 posets on 5 elements are forests with duplications
+        small = [P for n in (1, 2) for P in enumerate_posets(n)] + posets3 + posets4 + posets5
+        self._check(_fwd(small), (3,), products=("tx", "t"))
+
+    def test_random_fwd_posets(self):
+        fwd = _fwd(random_posets(23, 200, (6, 7, 8)))[:20]
+        assert len(fwd) == 20
+        self._check(fwd, (0, 1, 6))
+
+    def test_fwd_fixtures(self):
+        fwd = _fwd(FIXTURES)
+        assert len(fwd) == 5
+        self._check(fwd, (0, 1, 6, 10))
+
     def test_fig1_q(self):
         r = classify(FIG1)
         assert duplication_product(FIG1, r, "q", 10) == hilbert_truncated(
@@ -689,6 +834,44 @@ class TestFaceCount:
     def test_no_face_separates_every_cover(self, P, N):
         # no face of at most N ideals separates every cover: the empty series
         assert hilbert_truncated(P, "strict", "t", N).coeffs == {}
+
+    @staticmethod
+    def _no_walk(*args, **kwargs):
+        raise AssertionError("a face was walked")
+        yield
+
+    def test_cover_bound_against_the_walk(self, monkeypatch, posets3, posets4, posets5):
+        # the face count is empty at once, walking no face, when the N ideals
+        # that separate the most strict covers miss one; the walk oracle must
+        # find no vector there
+        monkeypatch.setattr(series, "_iter_trivial_multisets", self._no_walk)
+        fired = 0
+        for P in [P for n in (1, 2) for P in enumerate_posets(n)] + posets3 + posets4 + posets5:
+            deepest = {}  # flavor -> the largest N <= 4 at which the bound fires
+            for flavor in FLAVORS:
+                strict = _strict_covers(P, flavor)
+                best = sorted((sum(J >> (a - 1) & 1 and not J >> (b - 1) & 1 for a, b in strict)
+                               for J in connected_ideals(P)), reverse=True)
+                fires = [N for N in range(5) if sum(best[:N]) < len(strict)]
+                if fires:
+                    deepest[flavor] = max(fires)  # it fires at every smaller N too
+            if deepest:
+                walk = t_series_by_walk(P, max(deepest.values()))
+                for flavor, N in deepest.items():
+                    assert all(nu > N for nu, _ in walk[flavor]), (P, flavor, N)
+                    for n in range(N + 1):
+                        assert hilbert_truncated(P, flavor, "t", n).coeffs == {}
+                    fired += N + 1
+        assert fired == 18295
+
+    def test_cover_bound_ends_the_walk(self, monkeypatch):
+        # root-at-top 18-tree: each connected ideal separates one of 17 covers
+        tree = Poset(18, [(k, k // 2) for k in range(2, 19)])
+        monkeypatch.setattr(series, "_iter_trivial_multisets", self._no_walk)
+        for flavor in ("standard", "strict"):
+            start = time.perf_counter()
+            assert hilbert_truncated(tree, flavor, "t", 10).coeffs == {}
+            assert time.perf_counter() - start < 0.05
 
     @pytest.mark.parametrize("P", [FIG1, EX33, FORB2], ids=["fig1", "ex33", "forb2"])
     def test_lists_no_vector(self, monkeypatch, P):
