@@ -168,6 +168,9 @@ def enumerate_partitions(P: Poset, flavor: str, max_total: int):
     # Assign values top-down along a reversed linear extension so each
     # element sees the constraints from its upper covers.
     order = list(reversed(lex_min_extension(P)))
+    strict = set(_strict_covers(P, flavor))
+    # ups[p]: (b, 1 if the flavor drops strictly along p < b else 0) per upper cover b
+    ups = [[(b, int((p, b) in strict)) for b in bs] for p, bs in enumerate(P.upper_covers)]
     f = [0] * P.n
     out = []
 
@@ -177,11 +180,8 @@ def enumerate_partitions(P: Poset, flavor: str, max_total: int):
             return
         p = order[idx]
         lo = 0
-        for b in P.upper_covers[p]:
-            need = f[b - 1]
-            if flavor == STRICT or (flavor == STANDARD and p > b):
-                need += 1
-            lo = max(lo, need)
+        for b, s in ups[p]:
+            lo = max(lo, f[b - 1] + s)
         for v in range(lo, max_total - total + 1):
             f[p - 1] = v
             assign(idx + 1, total + v)

@@ -101,40 +101,14 @@ class TruncSeries:
     def _like(self):
         return TruncSeries(self.nx, self.trunc, self.has_t, xnames=self.xnames)
 
-    def copy(self):
-        out = self._like()
-        out.coeffs = dict(self.coeffs)
-        return out
-
     def one_like(self):
         out = self._like()
         out.coeffs[(0, (0,) * self.nx)] = 1
         return out
 
-    def one_minus(self, t, xs):
-        """1 - t^t x^xs, shaped like this series."""
-        out = self.one_like()
-        out.add_term(t, xs, -1)
-        return out
-
     def _compatible(self, other):
         if (self.nx, self.has_t, self.trunc) != (other.nx, other.has_t, other.trunc):
             raise ArgError("series have incompatible shapes")
-
-    def __add__(self, other):
-        self._compatible(other)
-        out = self.copy()
-        for (t, xs), c in other.coeffs.items():
-            out.add_term(t, xs, c)
-        return out
-
-    def __neg__(self):
-        out = self._like()
-        out.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def _buckets(self):
         """Terms as (t, xs, c), grouped by truncated degree."""
@@ -161,9 +135,6 @@ class TruncSeries:
         if isinstance(other, int):
             return self.coeffs == ({(0, (0,) * self.nx): other} if other else {})
         return isinstance(other, TruncSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def constant_term(self):
         return self.coeffs.get((0, (0,) * self.nx), 0)
@@ -267,16 +238,22 @@ def _degree(key):  # x degree, or t degree when there is no x variable
     return sum(key[1]) if key[1] else key[0]
 
 
-def _times_one_minus(c, m, trunc):
-    """c * (1 - m): one subtraction per term with room for m."""
-    if (d := _degree(m)) < 1:
-        raise ArgError("1 - m needs m of positive degree")
-    out, (tm, xm) = dict(c), m
+def _plus_times(acc, c, m, trunc, sign=-1):
+    """acc + sign * m * c in place, dropping every term past trunc: one
+    addition per term of c with room for m."""
+    room, (tm, xm) = trunc - _degree(m), m
     for (t, xs), v in c.items():
-        if (sum(xs) if xs else t) + d <= trunc:
+        if (sum(xs) if xs else t) <= room:
             k = (t + tm, tuple(map(add, xs, xm)))
-            out[k] = out.get(k, 0) - v
-    return {k: v for k, v in out.items() if v}
+            acc[k] = acc.get(k, 0) + sign * v
+    return acc
+
+
+def _times_one_minus(c, m, trunc):
+    """c * (1 - m), with no zero stored."""
+    if _degree(m) < 1:
+        raise ArgError("1 - m needs m of positive degree")
+    return {k: v for k, v in _plus_times(dict(c), c, m, trunc).items() if v}
 
 
 def _over_one_minus(c, m, trunc, shift=False):
@@ -304,8 +281,10 @@ def _over_one_minus(c, m, trunc, shift=False):
 
 
 def _graded(P: Poset, grading: str, N: int):
-    """The empty series of a grading, truncated at N, and its key
+    """The empty series of a grading, truncated at N >= 0, and its key
     (f, nu) -> (t exponent, x exponents) for a value vector f with nu(f) = nu."""
+    if N < 0:
+        raise ArgError(f"negative truncation {N}")
     has_t, xnames = _GRADINGS[normalize_grading(grading)]
     nx = P.n if xnames is None else len(xnames)
     out = TruncSeries(nx, N, has_t, xnames=xnames)
@@ -508,16 +487,8 @@ def _flag_numerator(P: Poset, D: int) -> TruncSeries:
     drops out."""
     conn = connected_ideals(P)  # vertex j is conn[j - 1], bit j - 1 of S
     clash = (0,) + clashes(P)
+    m = [None] + [(1, _multiset_vector(P.n, ((J, 1),))) for J in conn]  # m[j] = m_J
     memo = {0: {(0, (0,) * P.n): 1}}
-
-    def times(X, j, sign, acc):  # acc + sign * m_J * X for J = conn[j - 1], truncated
-        J = conn[j - 1]
-        room, xJ = D - J.bit_count(), _multiset_vector(P.n, ((J, 1),))
-        for (t, xs), c in X.items():
-            if sum(xs) <= room:
-                k = (t + 1, tuple(map(add, xs, xJ)))
-                acc[k] = acc.get(k, 0) + sign * c
-        return acc
 
     def g(S):
         S = mask_of(j for j in members(S) if clash[j] & S)  # drop the cone points
@@ -526,8 +497,8 @@ def _flag_numerator(P: Poset, D: int) -> TruncSeries:
             s_v = S & ~(1 << (v - 1))
             rest, pivot = g(s_v), g(s_v & ~clash[v])
             for u in members(clash[v] & S):
-                pivot = times(pivot, u, -1, dict(pivot))
-            out = times(rest, v, -1, times(pivot, v, 1, dict(rest)))
+                pivot = _plus_times(dict(pivot), pivot, m[u], D)  # zeros go once, below
+            out = _plus_times(_times_one_minus(rest, m[v], D), pivot, m[v], D, sign=1)
             memo[S] = {k: c for k, c in out.items() if c}
         return memo[S]
 

@@ -32,6 +32,23 @@ def truncated(s, N):
     return out
 
 
+def one_minus(like, m):
+    """1 - m for the key m = (t, xs), shaped like the series like."""
+    out = like.one_like()
+    out.add_term(*m, -1)
+    return out
+
+
+def plus(a, b, sign=1):
+    """a + sign * b, for two series of one shape."""
+    assert (a.nx, a.has_t, a.trunc) == (b.nx, b.has_t, b.trunc), "series of different shapes"
+    out = TruncSeries(a.nx, a.trunc, a.has_t, xnames=a.xnames)
+    for s, k in ((a, 1), (b, sign)):
+        for (t, xs), c in s.coeffs.items():
+            out.add_term(t, xs, k * c)
+    return out
+
+
 @pytest.fixture(scope="session")
 def posets3():
     return list(enumerate_posets(3))

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import ppart.extensions
-from conftest import random_posets, truncated
+from conftest import one_minus, plus, random_posets, truncated
 from ppart import (
     ExplosionError,
     Poset,
@@ -190,9 +190,8 @@ def _rational_sum_by_enumeration(P, grading, N):
     def factor(prefix, descent):
         if (prefix, descent) not in factors:
             c = len(hasse_components(P, prefix))
-            t, xs = key(_multiset_vector(P.n, ((prefix, 1),)), c)
-            f = zero.one_minus(t, xs).inverse()
-            factors[(prefix, descent)] = f - f.one_like() if descent else f
+            f = one_minus(zero, key(_multiset_vector(P.n, ((prefix, 1),)), c)).inverse()
+            factors[(prefix, descent)] = plus(f, f.one_like(), -1) if descent else f
         return factors[(prefix, descent)]
 
     total = zero
@@ -201,7 +200,7 @@ def _rational_sum_by_enumeration(P, grading, N):
         descents = set(_descents(w))
         for i in range(1, P.n + 1):
             term = term * factor(mask_of(w[:i]), i in descents)
-        total = total + term
+        total = plus(total, term)
     return total
 
 

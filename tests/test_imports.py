@@ -1,5 +1,6 @@
 """Every name a library module imports at top level is used in it, and
-every module-level private function or class is referenced in the library.
+every module-level private function or class, and every private method of
+a module-level class, is referenced in the library.
 
 Stdlib checks by `ast`: an import left behind when its last use goes, or a
 helper orphaned when its last caller goes, fails here.  `__init__.py` is
@@ -7,6 +8,7 @@ skipped by the import check, since it imports to re-export.
 """
 
 import ast
+import itertools
 import pathlib
 
 import pytest
@@ -41,8 +43,9 @@ def test_detects_an_unused_import():
 
 
 def orphaned_privates(sources: dict[str, str]) -> list[str]:
-    """The module-level `_private` functions and classes of the given
-    modules that no module refers to by name or attribute."""
+    """The module-level `_private` functions and classes, and the
+    `_private` methods of module-level classes, of the given modules
+    that no module refers to by name or attribute."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     referenced = set()
     for tree in trees.values():
@@ -51,9 +54,13 @@ def orphaned_privates(sources: dict[str, str]) -> list[str]:
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
+    defs = ((name, "", node) for name, tree in trees.items() for node in tree.body)
+    methods = ((name, f"{cls.name}.", node)
+               for name, tree in trees.items() for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for node in cls.body)
     return sorted(
-        f"{name}: {node.name} (line {node.lineno})"
-        for name, tree in trees.items() for node in tree.body
+        f"{name}: {owner}{node.name} (line {node.lineno})"
+        for name, owner, node in itertools.chain(defs, methods)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and node.name.startswith("_") and not node.name.startswith("__")
         and node.name not in referenced
@@ -70,3 +77,12 @@ def test_detects_an_orphaned_helper():
         "b.py": "from a import _used\nimport a\n_used()\na._Kept()\n",
     }
     assert orphaned_privates(sources) == ["a.py: _orphan (line 4)"]
+
+
+def test_detects_an_orphaned_method():
+    sources = {
+        "a.py": "class C:\n    def _used(self):\n        pass\n\n"
+                "    def _orphan(self):\n        pass\n\n    def __len__(self):\n        return 0\n",
+        "b.py": "from a import C\nC()._used()\n",
+    }
+    assert orphaned_privates(sources) == ["a.py: C._orphan (line 5)"]

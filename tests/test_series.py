@@ -40,7 +40,7 @@ from ppart import (
     rational_sum_truncated,
     trivially_intersecting,
 )
-from conftest import random_posets, t_series_by_walk, truncated
+from conftest import one_minus, plus, random_posets, t_series_by_walk, truncated
 from ppart import extensions, partitions, series
 from ppart.extensions import DEFAULT_CAP
 from ppart.fixtures import BOWTIE, EX33, FIG1, FORB1, FORB2, FORB3, P1, P2, P3
@@ -50,6 +50,7 @@ from ppart.series import (
     _hook_sizes,
     _numerator_bounds,
     _over_one_minus,
+    _plus_times,
     _times_one_minus,
     normalize_grading,
 )
@@ -80,12 +81,13 @@ def naive_mul(a, b):
 
 def fixed_point_inverse(s):
     """trunc rounds of inv <- 1 + (1 - a) inv, for a = c0 * s."""
-    a = s if s.constant_term() == 1 else -s
+    c0, zero = s.constant_term(), TruncSeries(s.nx, s.trunc, s.has_t)
+    a = plus(zero, s, c0)
     one = a.one_like()
     inv = one
     for _ in range(s.trunc):
-        inv = one + naive_mul(one - a, inv)
-    return inv if s.constant_term() == 1 else -inv
+        inv = plus(one, naive_mul(plus(one, a, -1), inv))
+    return plus(zero, inv, c0)
 
 
 def truncated_degree(s, t, xs):
@@ -202,15 +204,16 @@ class TestTruncSeries:
         rng = random.Random(nx + trunc)
         for _ in range(20):
             a = random_series(rng, nx, has_t, trunc, 1)
-            for b in (a.substitute_neg_t(), a.one_like() + a.one_like() - a, -a):
+            one, zero = a.one_like(), TruncSeries(nx, trunc, has_t)
+            for b in (a.substitute_neg_t(), plus(plus(one, one), a, -1), plus(zero, a, -1)):
                 got = a * b
                 assert got == naive_mul(a, b)
                 assert_canonical(got)
         m = TruncSeries(nx, trunc, has_t)
         m.add_term(1 if has_t else 0, (1,) * nx, 1)
         one = m.one_like()
-        got = (one - m) * (one + m)
-        assert got == one - naive_mul(m, m)
+        got = plus(one, m, -1) * plus(one, m)
+        assert got == plus(one, naive_mul(m, m), -1)
         assert_canonical(got)
 
     def test_randomized_ring_axioms(self):
@@ -228,7 +231,7 @@ class TestTruncSeries:
                 series.append(s)
             a, b, c = series
             assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
+            assert a * plus(b, c) == plus(a * b, a * c)
             if a.constant_term() == 1:
                 assert a * a.inverse() == a.one_like()
 
@@ -262,21 +265,24 @@ class TestOneMinusKernels:
         for _ in range(15):
             c = random_series(rng, nx, has_t, trunc, rng.choice((0, 1, -2)))
             for m in _random_monomials(rng, nx, has_t, trunc):
-                one_minus = c.one_minus(*m)
-                over = c * one_minus.inverse()
-                assert _times_one_minus(c.coeffs, m, trunc) == (c * one_minus).coeffs, m
+                times_m = naive_mul(c, _monomial(c, *m))
+                assert _plus_times({}, c.coeffs, m, trunc, sign=1) == times_m.coeffs, m
+                acc = _plus_times(dict(c.coeffs), c.coeffs, m, trunc, sign=1)
+                assert {k: v for k, v in acc.items() if v} == plus(c, times_m).coeffs, m
+                over = c * one_minus(c, m).inverse()
+                assert _times_one_minus(c.coeffs, m, trunc) == (c * one_minus(c, m)).coeffs, m
                 assert _over_one_minus(c.coeffs, m, trunc) == over.coeffs, m
                 shifted = _over_one_minus(c.coeffs, m, trunc, shift=True)
                 assert shifted == (over * _monomial(c, *m)).coeffs, m
-                assert shifted == (over - c).coeffs, m
+                assert shifted == plus(over, c, -1).coeffs, m
 
     @pytest.mark.parametrize("nx, has_t, trunc", SHAPES)
     def test_cancellation_stores_no_zero(self, nx, has_t, trunc):
         one = TruncSeries(nx, trunc, has_t).one_like()
         m = (int(has_t), (1,) + (0,) * (nx - 1)) if nx else (1, ())  # of degree 1
         m2 = (2 * m[0], tuple(2 * e for e in m[1]))
-        geometric_m = one.one_minus(*m).inverse().coeffs
-        assert _over_one_minus(one.one_minus(*m).coeffs, m, trunc) == one.coeffs
+        geometric_m = one_minus(one, m).inverse().coeffs
+        assert _over_one_minus(one_minus(one, m).coeffs, m, trunc) == one.coeffs
         assert _times_one_minus(geometric_m, m, trunc) == one.coeffs
         # (1 - m^2) / (1 - m) = 1 + m: every power from m^2 up cancels in the pass
         one_minus_m2 = {**one.coeffs, m2: -1}
@@ -293,12 +299,18 @@ class TestOneMinusKernels:
                 with pytest.raises(ArgError, match="positive degree"):
                     kernel(c, m, trunc)
 
-    @pytest.mark.parametrize("P", [FIG1, EX33, P1], ids=["fig1", "ex33", "p1"])
-    def test_no_series_product(self, monkeypatch, P):
-        # the rational sum and the duplication product divide in place:
-        # neither multiplies nor inverts a TruncSeries
+    @pytest.mark.parametrize("P, N", [
+        pytest.param(FIG1, 20, id="fig1"),
+        pytest.param(EX33, 12, id="ex33"),
+        pytest.param(P1, 8, id="p1"),
+    ])
+    def test_no_series_product(self, monkeypatch, P, N):
+        # the rational sum, the duplication product and the numerator at
+        # a truncation N it is exact at work in place: none multiplies or
+        # inverts a TruncSeries
         gradings = ("x", "tx", "q", "tq", "t")
         calls = [(rational_sum_truncated, (P, g, 5)) for g in gradings]
+        calls.append((numerator_polynomial, (P, N)))
         if isinstance(r := classify(P), BuildRecipe):
             calls += [(duplication_product, (P, r, g, 8)) for g in gradings]
         expected = [f(*args).to_json() for f, args in calls]
@@ -314,6 +326,18 @@ class TestOneMinusKernels:
 class TestHilbert:
     def test_trunc_zero(self):
         assert hilbert_truncated(EX33, "weak", "q", 0) == 1
+
+    def test_negative_truncation_raises(self):
+        # one check in `_graded` covers every truncated series, in every grading
+        calls = [(koszul_inverse, (FIG1, -1))]
+        for g in ("x", "tx", "q", "tq", "t"):
+            calls += [(hilbert_truncated, (FIG1, "weak", g, -1)),
+                      (initial_quotient_hilbert, (FIG1, g, -1)),
+                      (rational_sum_truncated, (FIG1, g, -1)),
+                      (duplication_product, (FIG1, classify(FIG1), g, -1))]
+        for f, args in calls:
+            with pytest.raises(ArgError, match="negative truncation -1"):
+                f(*args)
 
     def test_p2_weak_q_product_form(self):
         # (1 - q^4) / ((1-q)(1-q^2)^2(1-q^3)) up to q^6
@@ -498,7 +522,7 @@ def _numerator_at(P, N):
     _, key = _graded(P, "tx", N)
     out = h
     for J in connected_ideals(P):
-        out = out * h.one_minus(*key(_multiset_vector(P.n, ((J, 1),)), 1))
+        out = out * one_minus(h, key(_multiset_vector(P.n, ((J, 1),)), 1))
     return out
 
 
@@ -629,9 +653,9 @@ def _duplication_by_products(P, grading, N):
     out, key = _graded(P, grading, N)
     out = out.one_like()
     for pr in nontrivial_pairs(P):
-        out = out * out.one_minus(*key(_multiset_vector(P.n, ((pr.j1, 1), (pr.j2, 1))), 2))
+        out = out * one_minus(out, key(_multiset_vector(P.n, ((pr.j1, 1), (pr.j2, 1))), 2))
     for J in connected_ideals(P):
-        out = out * out.one_minus(*key(_multiset_vector(P.n, ((J, 1),)), 1)).inverse()
+        out = out * one_minus(out, key(_multiset_vector(P.n, ((J, 1),)), 1)).inverse()
     return out
 
 
