@@ -10,7 +10,8 @@ and "strict" when it drops strictly along every cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from functools import reduce
+from operator import add, or_
 
 from .errors import FlavorError
 from .poset import (
@@ -161,66 +162,64 @@ def fundamental_permutation(P: Poset, f):
     return order, terms
 
 
-def enumerate_partitions(P: Poset, flavor: str, max_total: int):
-    """All vectors of the given flavor with entry-sum <= max_total,
-    in lexicographic order.  Exact and exhaustive."""
-    _check_flavor(flavor)
-    # Assign values top-down along a reversed linear extension so each
-    # element sees the constraints from its upper covers.
-    order = list(reversed(lex_min_extension(P)))
-    strict = set(_strict_covers(P, flavor))
-    # ups[p]: (b, 1 if the flavor drops strictly along p < b else 0) per upper cover b
-    ups = [[(b, int((p, b) in strict)) for b in bs] for p, bs in enumerate(P.upper_covers)]
-    f = [0] * P.n
-    out = []
+def _levels(P: Poset, flavor: str, N: int) -> list[dict[int, int]]:
+    """levels[k] maps each ideal A of size k <= N to need(A); a last level
+    {P: need(P)} follows when P has more than N elements.
 
-    def assign(idx: int, total: int):
-        if idx == len(order):
-            out.append(tuple(f))
-            return
-        p = order[idx]
-        lo = 0
-        for b, s in ups[p]:
-            lo = max(lo, f[b - 1] + s)
-        for v in range(lo, max_total - total + 1):
-            f[p - 1] = v
-            assign(idx + 1, total + v)
-        f[p - 1] = 0
-
-    assign(0, 0)
-    del assign  # its closure cycle would keep out alive until a full collection
-    out.sort()
-    return out
-
-
-def count_by_size(P: Poset, flavor: str, N: int) -> list[int]:
-    """c[d] for d = 0..N: the number of vectors of the flavor with |f| = d,
-    counted by their chains of level ideals, not listed.
-
-    f is the chain P = A_0 >= A_1 >= ... of its level ideals A_v =
-    {f >= v}, so |f| = |A_1| + |A_2| + ...  (Stanley, Ordered structures
-    and partitions, 1972).  A step A > B of the chain is admissible when
-    the level set A - B holds both ends of no cover a < b along which the
-    flavor drops strictly: when B holds every such a with b in A.  With
-    F(0) = 1 and, summed over the ideals B < A with A > B admissible,
-    F(A) = sum q^|B| F(B) / (1 - q^|A|), the answer is F(P).  Only the
-    ideals of size at most N, and P, are met, each pair of them once:
-    the cost grows with the square of their number, not with the number
-    of vectors.  Nothing here reads maj or a linear extension."""
+    A vector f is its chain P = A_0 >= A_1 >= ... of level ideals A_v =
+    {f >= v} (Stanley, Ordered structures and partitions, 1972).  A step
+    A > B is admissible for the flavor when A - B holds both ends of no
+    cover a < b along which it drops strictly: when B holds need(A), the
+    a of every such cover with b in A."""
     _check_flavor(flavor)
     below = [0] * (P.n + 1)  # below[b]: the a of the strict covers a < b
     for a, b in _strict_covers(P, flavor):
         below[b] |= 1 << (a - 1)
-    small, level = [0], [0]  # the ideals of size <= N, by size
+    levels = [{0: 0}]
     for _ in range(min(N, P.n)):
-        level = {I | 1 << (p - 1) for I in level
-                 for p in P.minimal_elements(P.full_mask & ~I)}
-        small += level
+        levels.append({I | 1 << (p - 1): need | below[p] for I, need in levels[-1].items()
+                       for p in P.minimal_elements(P.full_mask & ~I)})
+    return levels + ([{P.full_mask: reduce(or_, below)}] if P.n > N else [])
+
+
+def _level_chains(P: Poset, flavor: str, N: int):
+    """(f, nu(f)) for each vector f of the flavor with |f| <= N, depth
+    first from a stack of open chains of admissible steps (`_levels`): f
+    sums the indicators of the levels A_1, A_2, ..., nu(f) their numbers of
+    cover components, and a chain ends when the step to 0 is admissible."""
+    levels = _levels(P, flavor, N)
+    seen = {}  # ideal -> (its indicator, its number of cover components), on first use
+    stack = [(P.full_mask, levels[-1][P.full_mask], (0,) * P.n, N, 0)] if N >= 0 else []
+    while stack:  # (last level A, need(A), f, budget, nu(f)) per open chain
+        A, need, f, budget, nu_f = stack.pop()
+        if not need:
+            yield f, nu_f
+        for size, level in enumerate(levels[1:budget + 1], 1):
+            for B, B_need in level.items():
+                if not B & ~A and not need & ~B:
+                    if B not in seen:
+                        seen[B] = _multiset_vector(P.n, ((B, 1),)), len(hasse_components(P, B))
+                    ind, c = seen[B]
+                    stack.append((B, B_need, tuple(map(add, f, ind)), budget - size, nu_f + c))
+
+
+def enumerate_partitions(P: Poset, flavor: str, max_total: int):
+    """All vectors of the given flavor with entry-sum <= max_total, in
+    lexicographic order: the chains of level ideals of `_level_chains`."""
+    return sorted(f for f, _ in _level_chains(P, flavor, max_total))
+
+
+def count_by_size(P: Poset, flavor: str, N: int) -> list[int]:
+    """c[d] for d = 0..N: the number of vectors of the flavor with |f| = d,
+    counted by their chains of level ideals (`_levels`), not listed.
+
+    |f| = |A_1| + |A_2| + ...  With F(0) = 1 and, over the ideals B < A
+    with A > B admissible, F(A) = sum q^|B| F(B) / (1 - q^|A|), the answer
+    is F(P).  Each pair of the ideals of size at most N, and P, is met
+    once: the cost grows with the square of their number, not with the
+    number of vectors.  Nothing here reads maj or a linear extension."""
     F = {0: [1] + [0] * N}
-    for A in small[1:] + ([P.full_mask] if P.n > N else []):
-        need = 0  # what B must hold for A > B to be admissible
-        for b in members(A):
-            need |= below[b]
+    for A, need in (item for level in _levels(P, flavor, N)[1:] for item in level.items()):
         c = [0] * (N + 1)
         for B, g in F.items():  # every ideal below A comes before it
             if not B & ~A and not need & ~B:

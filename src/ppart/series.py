@@ -11,7 +11,8 @@ Gradings accepted everywhere: "x-multi" (alias "x"), "(t,x)" ("tx"),
 grading's series, and `_graded` is the one place that turns a value
 vector into a monomial of that shape.  Each grading has one counting
 engine, whatever the flavor: faces of the flag complex of Pi for t,
-Stanley's theorem for q, and listing the vectors for x, (t,x) and (t,q).
+Stanley's theorem for q, and for x, (t,x) and (t,q) the walk over chains
+of level ideals that yields each vector f with nu(f), summed per level.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from .extensions import fold_extensions, maj_coefficients
 from .partitions import (
     WEAK,
     _check_flavor,
+    _level_chains,
     _multiset_vector,
     _strict_covers,
-    enumerate_partitions,
     flavor_labelling,
-    nu,
 )
 from .poset import (
     Poset,
@@ -386,16 +386,15 @@ def hilbert_truncated(P: Poset, flavor: str, grading: str, N: int) -> TruncSerie
     |f| is hopeless when only nu is bounded.  The q grading (and the x
     grading of a one-element poset, whose keys are the same) counts them
     by |f| alone, by Stanley's theorem (`_stanley_q`).  The x, (t,x) and
-    (t,q) gradings enumerate the vectors."""
+    (t,q) gradings walk chains of level ideals, nu summed per level."""
     _check_flavor(flavor)
     out, key = _graded(P, grading, N)
     if not out.nx:
         out.coeffs = _t_by_faces(P, flavor, N)
     elif out.nx == 1 and not out.has_t:
         out.coeffs = _stanley_q(P, flavor, N)
-    else:  # every enumerated f has |f| <= N, within the truncation
-        out.coeffs = dict(Counter(key(f, nu(P, f) if out.has_t else 0)
-                                  for f in enumerate_partitions(P, flavor, N)))
+    else:  # every listed f has |f| <= N, within the truncation
+        out.coeffs = dict(Counter(key(f, nu) for f, nu in _level_chains(P, flavor, N)))
     return out
 
 
@@ -449,6 +448,8 @@ def numerator_polynomial(P: Poset, N: int = DEFAULT_TRUNC) -> TruncSeries:
     when N is below the lower bound of `_numerator_bounds`, else when g up
     to N + 1, or up to the upper bound if that is above N + 1, has one.
     """
+    if N < 0:
+        raise ArgError(f"negative truncation {N}")
     lo, hi = _numerator_bounds(P)
     if N < lo:
         raise InstabilityError(

@@ -3,8 +3,16 @@ from collections import Counter
 
 import pytest
 
-from ppart import Poset, TruncSeries, clashes, connected_ideals, enumerate_posets, members
-from ppart.partitions import FLAVORS, classify_map
+from ppart import (
+    Poset,
+    TruncSeries,
+    clashes,
+    connected_ideals,
+    enumerate_posets,
+    lex_min_extension,
+    members,
+)
+from ppart.partitions import FLAVORS, _check_flavor, _strict_covers, classify_map
 
 
 def random_poset(rng, n, p=0.3):
@@ -91,3 +99,37 @@ def t_series_by_walk(P, N):
         for flavor in FLAVORS[:FLAVORS.index(cls) + 1]:  # cls and every weaker flavor
             out[flavor][(nu, ())] += c
     return {flavor: dict(c) for flavor, c in out.items()}
+
+
+def enumerate_by_assignment(P, flavor, max_total):
+    """The vectors of the flavor with entry-sum <= max_total the plain
+    way, in lexicographic order: values assigned element by element
+    down a reversed linear extension, each at least its upper covers'
+    values (plus one along a strict cover)."""
+    _check_flavor(flavor)
+    # Assign values top-down along a reversed linear extension so each
+    # element sees the constraints from its upper covers.
+    order = list(reversed(lex_min_extension(P)))
+    strict = set(_strict_covers(P, flavor))
+    # ups[p]: (b, 1 if the flavor drops strictly along p < b else 0) per upper cover b
+    ups = [[(b, int((p, b) in strict)) for b in bs] for p, bs in enumerate(P.upper_covers)]
+    f = [0] * P.n
+    out = []
+
+    def assign(idx: int, total: int):
+        if idx == len(order):
+            out.append(tuple(f))
+            return
+        p = order[idx]
+        lo = 0
+        for b, s in ups[p]:
+            lo = max(lo, f[b - 1] + s)
+        for v in range(lo, max_total - total + 1):
+            f[p - 1] = v
+            assign(idx + 1, total + v)
+        f[p - 1] = 0
+
+    assign(0, 0)
+    del assign  # its closure cycle would keep out alive until a full collection
+    out.sort()
+    return out

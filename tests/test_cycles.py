@@ -51,6 +51,7 @@ CALLS = {
     "count_ideals": lambda: count_ideals(FIG1),
     "principal_ideals": lambda: PForest((0, 1, 1, 2)).principal_ideals(),
     "hilbert_truncated t": lambda: hilbert_truncated(FIG1, "weak", "t", 4),
+    "hilbert_truncated tx": lambda: hilbert_truncated(FIG1, "weak", "tx", 6),
     "hilbert_truncated standard t": lambda: hilbert_truncated(FIG1, "standard", "t", 4),
     "initial_quotient_hilbert t": lambda: initial_quotient_hilbert(FIG1, "t", 4),
     "count_by_size": lambda: count_by_size(FIG1, "standard", 20),

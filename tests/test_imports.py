@@ -1,6 +1,7 @@
 """Every name a library module imports at top level is used in it, and
 every module-level private function or class, and every private method of
-a module-level class, is referenced in the library.
+a module-level class, is referenced in the library; and series.py
+imports neither the vector listing nor a decomposition of one vector.
 
 Stdlib checks by `ast`: an import left behind when its last use goes, or a
 helper orphaned when its last caller goes, fails here.  `__init__.py` is
@@ -86,3 +87,25 @@ def test_detects_an_orphaned_method():
         "b.py": "from a import C\nC()._used()\n",
     }
     assert orphaned_privates(sources) == ["a.py: C._orphan (line 5)"]
+
+
+# The x, (t,x) and (t,q) series take f and nu(f) from the walk over chains
+# of level ideals; series.py lists no vector and decomposes none again.
+NOT_IN_SERIES = ("enumerate_partitions", "nu", "nested_decomposition", "connected_decomposition")
+
+
+def imports_of(source: str, names) -> list[str]:
+    """The given names imported anywhere in the source, under any alias."""
+    return sorted(f"{alias.name} (line {node.lineno})"
+                  for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names if alias.name in names)
+
+
+def test_series_imports_no_listing_or_decomposition():
+    assert imports_of((SRC / "series.py").read_text(), NOT_IN_SERIES) == []
+
+
+def test_detects_a_layering_import():
+    source = ("from .partitions import WEAK, nu as count\n\n"
+              "def f():\n    from .partitions import enumerate_partitions\n")
+    assert imports_of(source, NOT_IN_SERIES) == ["enumerate_partitions (line 4)", "nu (line 1)"]

@@ -23,8 +23,9 @@ from ppart import (
     stanley_delta_chain,
     trivially_intersecting,
 )
-from conftest import random_posets
+from conftest import enumerate_by_assignment, random_posets
 from ppart.fixtures import BOWTIE, EX33, FIG1, FORB1, FORB2, FORB3, P1, P2, P3
+from ppart.partitions import _level_chains
 
 CHAIN2 = Poset(2, [(1, 2)])
 FIG1_F = (5, 4, 2, 1, 2, 4, 0, 1)
@@ -231,28 +232,66 @@ class TestEnumerate:
     def test_p2_standard_minimal(self):
         assert enumerate_partitions(P2, "standard", 1) == [(0, 1, 0)]
 
-    def test_exhaustive_against_brute_force(self, posets3):
-        for P in posets3:
+    def test_exhaustive_against_brute_force(self, posets3, posets4):
+        for P, N in [(P, 4) for P in posets3] + [(P, 3) for P in posets4]:
             for flavor in ("weak", "standard", "strict"):
-                got = enumerate_partitions(P, flavor, 4)
+                got = enumerate_partitions(P, flavor, N)
                 brute = [
                     f
-                    for f in itertools.product(range(5), repeat=P.n)
-                    if sum(f) <= 4 and satisfies(P, f, flavor)
+                    for f in itertools.product(range(N + 1), repeat=P.n)
+                    if sum(f) <= N and satisfies(P, f, flavor)
                 ]
                 assert got == sorted(brute)
+
+    def test_negative_total_lists_nothing(self):
+        # the walk starts from P, whose chain would be the zero vector
+        for P in (P1, FIG1, Poset(2, [])):
+            for flavor in ("weak", "standard", "strict"):
+                assert enumerate_partitions(P, flavor, -1) == []
+                assert count_by_size(P, flavor, -1) == []
+
+
+class TestLevelChains:
+    """The walk over chains of level ideals against the assignment
+    enumeration it replaced, with nu from the connected decomposition.
+    One oracle listing up to the deepest N serves every shallower one."""
+
+    FLAVORS = ("weak", "standard", "strict")
+
+    def _check(self, P, Ns):
+        for flavor in self.FLAVORS:
+            oracle = enumerate_by_assignment(P, flavor, max(Ns))
+            for N in Ns:
+                expect = [f for f in oracle if sum(f) <= N]
+                assert enumerate_partitions(P, flavor, N) == expect, (P, flavor, N)
+                walk = Counter(_level_chains(P, flavor, N))
+                assert walk == Counter((f, nu(P, f)) for f in expect), (P, flavor, N)
+
+    def test_every_small_poset(self, posets3, posets4, posets5):
+        for P in [P for n in (1, 2) for P in enumerate_posets(n)] + posets3 + posets4 + posets5:
+            self._check(P, (0, 1, 4))
+
+    def test_random_posets(self):
+        for P in random_posets(19, 40, (6, 7, 8)):
+            self._check(P, (5,))
+
+    def test_fixtures(self):
+        for P in (P1, P2, P3, FORB1, FORB2, FORB3, BOWTIE, EX33, FIG1):
+            self._check(P, (6,))
 
 
 def _sizes_by_enumeration(P, flavor, N):
     """c[d] for d = 0..N the plain way: the vectors of the flavor listed
-    and counted by |f|."""
-    counts = Counter(sum(f) for f in enumerate_partitions(P, flavor, N))
+    by assignment, not by the chains of level ideals the count shares
+    with `enumerate_partitions`, and counted by |f|."""
+    counts = Counter(sum(f) for f in enumerate_by_assignment(P, flavor, N))
     return [counts[d] for d in range(N + 1)]
 
 
 class TestCountBySize:
-    """count_by_size, by chains of level ideals, against the enumeration.
-    One enumeration up to the deepest N serves every shallower one."""
+    """count_by_size, by chains of level ideals, against the assignment
+    enumeration.  One enumeration up to the deepest N serves every
+    shallower one."""
 
     FLAVORS = ("weak", "standard", "strict")
 

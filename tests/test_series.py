@@ -40,6 +40,7 @@ from ppart import (
     rational_sum_truncated,
     trivially_intersecting,
 )
+from cli_golden import run_cli
 from conftest import one_minus, plus, random_posets, t_series_by_walk, truncated
 from ppart import extensions, partitions, series
 from ppart.extensions import DEFAULT_CAP
@@ -328,8 +329,10 @@ class TestHilbert:
         assert hilbert_truncated(EX33, "weak", "q", 0) == 1
 
     def test_negative_truncation_raises(self):
-        # one check in `_graded` covers every truncated series, in every grading
-        calls = [(koszul_inverse, (FIG1, -1))]
+        # one check in `_graded` covers every truncated series, in every grading;
+        # the numerator, which builds no graded series, checks N itself
+        calls = [(koszul_inverse, (FIG1, -1)), (numerator_polynomial, (CHAIN3, -1)),
+                 (numerator_polynomial, (FIG1, -1))]
         for g in ("x", "tx", "q", "tq", "t"):
             calls += [(hilbert_truncated, (FIG1, "weak", g, -1)),
                       (initial_quotient_hilbert, (FIG1, g, -1)),
@@ -592,7 +595,7 @@ class TestNumerator:
         def forbidden(*args):
             raise AssertionError("numerator_polynomial must not call this")
 
-        for name in ("classify", "hilbert_truncated", "enumerate_partitions"):
+        for name in ("classify", "hilbert_truncated", "_level_chains"):
             monkeypatch.setattr(series, name, forbidden)
         g = numerator_polynomial(EX33, 12)
         assert g == _ex33_numerator(g)
@@ -764,6 +767,37 @@ class TestKoszul:
         assert inv == expect
 
 
+class TestNuFromTheWalk:
+    """The x, (t,x) and (t,q) series take f and nu(f) from the walk over
+    chains of level ideals: with the listing and the decomposition of a
+    vector raising in both modules, the series and `ppart selftest`
+    answer as before."""
+
+    @staticmethod
+    def _forbid(monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the walk yields f and nu(f)")
+
+        for module in (series, partitions):
+            for name in ("nu", "nested_decomposition", "enumerate_partitions"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+
+    @pytest.mark.parametrize("P", [FIG1, EX33, FORB2], ids=["fig1", "ex33", "forb2"])
+    def test_series(self, monkeypatch, P):
+        calls = [(flavor, g) for flavor in FLAVORS for g in ("x", "tx", "tq")]
+        expected = [hilbert_truncated(P, flavor, g, 6).to_json() for flavor, g in calls]
+        self._forbid(monkeypatch)
+        assert [hilbert_truncated(P, flavor, g, 6).to_json() for flavor, g in calls] == expected
+
+    def test_selftest_on_tree18_bottom(self, monkeypatch, tmp_path):
+        path = tmp_path / "tree18.poset"
+        path.write_text("n 18\n" + "".join(f"{k // 2} {k}\n" for k in range(2, 19)))
+        argv = ["selftest", str(path), "--trunc", "8"]
+        expected = run_cli(argv)
+        self._forbid(monkeypatch)
+        assert run_cli(argv) == expected
+
+
 class TestPiInPosetOnly:
     @pytest.mark.parametrize("P", [FIG1, EX33, FORB2], ids=["fig1", "ex33", "forb2"])
     def test_no_pairwise_test_outside_poset(self, monkeypatch, P):
@@ -905,7 +939,7 @@ class TestFaceCount:
             raise AssertionError("the t grading lists no vector")
 
         for module in (series, partitions):
-            for name in ("satisfies", "_multiset_vector", "enumerate_partitions"):
+            for name in ("satisfies", "_multiset_vector", "enumerate_partitions", "_level_chains"):
                 monkeypatch.setattr(module, name, forbidden, raising=False)
         for flavor, coeffs in expected.items():
             assert hilbert_truncated(P, flavor, "t", 6).coeffs == coeffs, flavor
