@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import ExplosionError
 from .partitions import delta_data
-from .poset import Poset, hasse_components, mask_of, members
+from .poset import Poset, _collector_paused, hasse_components, mask_of, members
 from .qpoly import QPolynomial
 
 DEFAULT_CAP = 10_000_000
@@ -50,6 +50,7 @@ def _check_cap(P: Poset, cap: int) -> None:
         raise ExplosionError(f"|L(P)| = {count} exceeds cap {cap}")
 
 
+@_collector_paused
 def linear_extensions(P: Poset, cap: int = DEFAULT_CAP) -> list[LinearExtension]:
     """All linear extensions in lexicographic order of w, with statistics.
 

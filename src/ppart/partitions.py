@@ -170,16 +170,20 @@ def _levels(P: Poset, flavor: str, N: int) -> list[dict[int, int]]:
     {f >= v} (Stanley, Ordered structures and partitions, 1972).  A step
     A > B is admissible for the flavor when A - B holds both ends of no
     cover a < b along which it drops strictly: when B holds need(A), the
-    a of every such cover with b in A."""
+    a of every such cover with b in A.  So |f| >= |A_1| >= |need(P)|, and
+    when need(P) has more than N elements levels 1..N are left empty."""
     _check_flavor(flavor)
     below = [0] * (P.n + 1)  # below[b]: the a of the strict covers a < b
     for a, b in _strict_covers(P, flavor):
         below[b] |= 1 << (a - 1)
+    need_P = reduce(or_, below)
+    if need_P.bit_count() > N:  # no vector of the flavor has |f| <= N
+        return [{0: 0}] + [{} for _ in range(N)] + [{P.full_mask: need_P}]
     levels = [{0: 0}]
     for _ in range(min(N, P.n)):
         levels.append({I | 1 << (p - 1): need | below[p] for I, need in levels[-1].items()
                        for p in P.minimal_elements(P.full_mask & ~I)})
-    return levels + ([{P.full_mask: reduce(or_, below)}] if P.n > N else [])
+    return levels + ([{P.full_mask: need_P}] if P.n > N else [])
 
 
 def _level_chains(P: Poset, flavor: str, N: int):

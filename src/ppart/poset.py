@@ -6,6 +6,8 @@ Elements are labelled 1..n and subsets are stored as n-bit masks
 
 from __future__ import annotations
 
+import functools
+import gc
 import itertools
 from typing import NamedTuple
 
@@ -30,6 +32,34 @@ def members(mask: int) -> list[int]:
         out.append(low.bit_length())
         mask ^= low
     return out
+
+
+def _collector_paused(fn):
+    """fn with the cyclic garbage collector off for the length of each call.
+
+    For the kernels that build a large acyclic result of containers the
+    collector tracks (NamedTuple records, which CPython never untracks):
+    every collection the build triggers would traverse what was built so
+    far once more, while reference counting alone frees every temporary.
+    The paused results are freed before they grow old, so CPython would
+    seldom start a full collection, which frees the cyclic garbage of
+    everything else; one that is due by count runs before the pause.
+    The collector is turned back on only if it was on at entry, so
+    callers that turned it off, and nested paused calls, keep it off."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        if gc.get_count()[2] > gc.get_threshold()[2]:
+            gc.collect()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def ideal_key(mask: int) -> tuple[int, int]:
@@ -344,6 +374,7 @@ def nontrivial_pairs(P: Poset) -> list[PiPair]:
     return pairs_among(P, connected_ideals(P))
 
 
+@_collector_paused
 def pairs_among(P: Poset, conn) -> list[PiPair]:
     """The pairs of Pi(P) with both members in conn, a list of connected
     ideals sorted by ideal_key (so j1 precedes j2 in every pair).

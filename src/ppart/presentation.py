@@ -12,7 +12,7 @@ from typing import NamedTuple
 from .errors import ArgError
 from .extensions import DEFAULT_CAP, _check_cap, fold_extensions
 from .partitions import _multiset_vector, delta_data
-from .poset import PiPair, Poset, connected_ideals, members, nontrivial_pairs
+from .poset import PiPair, Poset, _collector_paused, connected_ideals, members, nontrivial_pairs
 
 
 def var_name(mask: int, wide: bool) -> str:
@@ -187,6 +187,7 @@ class SemigroupIdealData:
     principal: tuple[int, ...] | None
 
 
+@_collector_paused
 def semigroup_ideal(P: Poset, cap: int = DEFAULT_CAP) -> SemigroupIdealData:
     """The distinct descent vectors sum_{i in Des(w)} 1_{w[:i]} over L(P),
     by `fold_extensions` over sets of partial vectors.

@@ -6,7 +6,8 @@ output list) alive until a full garbage collection.  When that comes
 depends on everything allocated before, so a process's peak memory would
 depend on where the collector happens to run.  Each enumeration breaks
 its cycle before returning; these tests check that a call leaves nothing
-for the collector.
+for the collector.  Every kernel that runs with the collector paused
+(`poset._collector_paused`) is among CALLS, which `test_imports` checks.
 """
 
 import gc
@@ -30,8 +31,13 @@ from ppart import (
     linear_extensions,
     nontrivial_pairs,
     numerator_polynomial,
+    pi_fiber,
+    semigroup_ideal,
 )
 from ppart.fixtures import FIG1, FORB1
+
+
+CLAW9 = Poset(9, [(1, k) for k in range(2, 10)])
 
 
 def fresh(P):
@@ -48,6 +54,9 @@ CALLS = {
     "connected_ideals": lambda: connected_ideals(fresh(FIG1)),
     "clashes": lambda: clashes(fresh(FIG1)),
     "nontrivial_pairs": lambda: nontrivial_pairs(fresh(FIG1)),
+    "pi_fiber": lambda: pi_fiber(FIG1, connected_ideals(FIG1)[-1]),
+    "semigroup_ideal fig1": lambda: semigroup_ideal(FIG1),
+    "semigroup_ideal claw9": lambda: semigroup_ideal(CLAW9),
     "count_ideals": lambda: count_ideals(FIG1),
     "principal_ideals": lambda: PForest((0, 1, 1, 2)).principal_ideals(),
     "hilbert_truncated t": lambda: hilbert_truncated(FIG1, "weak", "t", 4),

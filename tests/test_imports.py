@@ -1,7 +1,9 @@
 """Every name a library module imports at top level is used in it, and
 every module-level private function or class, and every private method of
-a module-level class, is referenced in the library; and series.py
-imports neither the vector listing nor a decomposition of one vector.
+a module-level class, is referenced in the library; series.py imports
+neither the vector listing nor a decomposition of one vector; and every
+function that runs with the cyclic collector paused is exercised by the
+cycle tests.
 
 Stdlib checks by `ast`: an import left behind when its last use goes, or a
 helper orphaned when its last caller goes, fails here.  `__init__.py` is
@@ -11,8 +13,11 @@ skipped by the import check, since it imports to re-export.
 import ast
 import itertools
 import pathlib
+import sys
 
 import pytest
+
+from test_cycles import CALLS
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "ppart"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -109,3 +114,44 @@ def test_detects_a_layering_import():
     source = ("from .partitions import WEAK, nu as count\n\n"
               "def f():\n    from .partitions import enumerate_partitions\n")
     assert imports_of(source, NOT_IN_SERIES) == ["enumerate_partitions (line 4)", "nu (line 1)"]
+
+
+# A kernel runs with the collector paused only if it leaves no cycle
+# behind, which `test_cycles` shows for each of its CALLS.
+PAUSE = "_collector_paused"
+
+
+def paused_functions(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module file, function name) for every function decorated with PAUSE."""
+    return sorted(
+        (name, node.name)
+        for name, source in sources.items() for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(getattr(d, "id", getattr(d, "attr", None)) == PAUSE
+                for d in node.decorator_list)
+    )
+
+
+def test_detects_a_paused_function():
+    source = ("from .poset import _collector_paused\n\n@_collector_paused\ndef f():\n"
+              "    pass\n\n@poset._collector_paused\ndef g():\n    pass\n\ndef h():\n    pass\n")
+    assert paused_functions({"a.py": source}) == [("a.py", "f"), ("a.py", "g")]
+
+
+def test_every_paused_function_is_cycle_tested():
+    paused = paused_functions({p.name: p.read_text() for p in SRC.glob("*.py")})
+    assert {name for _, name in paused} == {"pairs_among", "linear_extensions", "semigroup_ideal"}
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            called.add((pathlib.Path(code.co_filename).name, code.co_name))
+
+    sys.setprofile(record)
+    try:
+        for call in CALLS.values():
+            call()
+    finally:
+        sys.setprofile(None)
+    assert [f for f in paused if f not in called] == []

@@ -25,7 +25,7 @@ from ppart import (
 )
 from conftest import enumerate_by_assignment, random_posets
 from ppart.fixtures import BOWTIE, EX33, FIG1, FORB1, FORB2, FORB3, P1, P2, P3
-from ppart.partitions import _level_chains
+from ppart.partitions import _level_chains, _levels
 
 CHAIN2 = Poset(2, [(1, 2)])
 FIG1_F = (5, 4, 2, 1, 2, 4, 0, 1)
@@ -278,6 +278,31 @@ class TestLevelChains:
     def test_fixtures(self):
         for P in (P1, P2, P3, FORB1, FORB2, FORB3, BOWTIE, EX33, FIG1):
             self._check(P, (6,))
+
+
+class TestNeedBeyondN:
+    """Every vector has |f| >= |A_1| >= |need(P)|, so when need(P) has
+    more than N elements `_levels` builds no ideal but 0 and P, and the
+    listing and the count are empty."""
+
+    TREE18_TOP = Poset(18, [(k, k // 2) for k in range(2, 19)])  # standard, strict: need(P) = P - root
+
+    def test_small_posets_and_tree18(self, posets3, posets4):
+        small = [P for n in (1, 2) for P in enumerate_posets(n)] + posets3 + posets4
+        beyond = 0
+        for P in small + [self.TREE18_TOP]:
+            for flavor in ("weak", "standard", "strict"):
+                oracle = enumerate_by_assignment(P, flavor, 6)
+                for N in range(7):
+                    levels = _levels(P, flavor, N)
+                    expect = [f for f in oracle if sum(f) <= N]
+                    assert enumerate_partitions(P, flavor, N) == expect, (P, flavor, N)
+                    sizes = Counter(sum(f) for f in expect)
+                    assert count_by_size(P, flavor, N) == [sizes[d] for d in range(N + 1)]
+                    if levels[-1][P.full_mask].bit_count() > N:
+                        beyond += 1
+                        assert expect == [] and sum(map(len, levels)) == 2, (P, flavor, N)
+        assert beyond > 100
 
 
 def _sizes_by_enumeration(P, flavor, N):

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import importlib
 import itertools
 
 import pytest
@@ -7,6 +9,7 @@ import ppart.poset
 from conftest import random_posets
 from ppart import (
     CycleError,
+    ExplosionError,
     PiPair,
     Poset,
     PosetSyntaxError,
@@ -20,16 +23,18 @@ from ppart import (
     is_ideal,
     is_naturally_labelled,
     iter_ideals,
+    linear_extensions,
     mask_of,
     members,
     natural_relabel,
     nontrivial_pairs,
     parse_poset,
     principal_ideal,
+    semigroup_ideal,
     trivially_intersecting,
 )
 from ppart.fixtures import EX33, FIG1, FORB1, FORB3, P1, P2, P3
-from ppart.poset import ideal_key
+from ppart.poset import _collector_paused, ideal_key
 
 CHAIN3 = Poset(3, [(1, 2), (2, 3)])
 ANTICHAIN3 = Poset(3, [])
@@ -357,3 +362,89 @@ class TestDeterminism:
     def test_repeatable(self):
         assert connected_ideals(FIG1) == connected_ideals(FIG1)
         assert nontrivial_pairs(EX33) == nontrivial_pairs(EX33)
+
+
+class TestCollectorPause:
+    """The kernels that build Pi- and L(P)-sized results run with the
+    cyclic collector off and leave its state as they found it."""
+
+    PAUSED = (("pairs_among", "ppart.poset"), ("linear_extensions", "ppart.extensions"),
+              ("semigroup_ideal", "ppart.presentation"))
+
+    @pytest.fixture(autouse=True)
+    def collector_on(self):
+        assert gc.isenabled()
+        yield
+        gc.enable()  # a failing test leaves the next one its collector
+
+    def test_restored_after_return(self):
+        assert len(nontrivial_pairs(FIG1)) == 2
+        assert len(linear_extensions(FIG1)) == 300
+        semigroup_ideal(FIG1)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("fn", [linear_extensions, semigroup_ideal])
+    def test_restored_after_a_raise_inside(self, fn):
+        with pytest.raises(ExplosionError):
+            fn(FIG1, cap=1)
+        assert gc.isenabled()
+
+    def test_off_stays_off(self):
+        gc.disable()
+        nontrivial_pairs(FIG1)
+        linear_extensions(FIG1)
+        assert not gc.isenabled()
+
+    def test_nested_pause_keeps_it_off(self):
+        seen = []
+        inner = _collector_paused(lambda: seen.append(gc.isenabled()))
+
+        @_collector_paused
+        def outer():
+            inner()
+            seen.append(gc.isenabled())
+
+        outer()
+        assert seen == [False, False] and gc.isenabled()
+
+    def test_no_collection_while_listing_pi(self):
+        connected_ideals(TREE14)  # J_conn is built outside the pause
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            pairs = nontrivial_pairs(TREE14)
+            during = len(starts)
+        finally:
+            gc.callbacks.remove(record)
+        assert len(pairs) == 64536 and during == 0
+
+    def test_due_full_collection_runs_before_the_pause(self):
+        gens = []
+
+        def record(phase, info):
+            if phase == "start":
+                gens.append((info["generation"], gc.isenabled()))
+
+        thresholds = gc.get_threshold()
+        gc.collect()
+        gc.collect(1)  # the oldest generation's count is now 1
+        gc.set_threshold(thresholds[0], thresholds[1], 0)
+        gc.callbacks.append(record)
+        try:
+            linear_extensions(FIG1)
+        finally:
+            gc.callbacks.remove(record)
+            gc.set_threshold(*thresholds)
+        assert (2, True) in gens and gc.isenabled()
+
+    def test_wrapped_names(self):
+        for name, module in self.PAUSED:
+            fn = getattr(importlib.import_module(module), name)
+            assert (fn.__name__, fn.__module__) == (name, module)
+            assert fn.__wrapped__.__name__ == name
