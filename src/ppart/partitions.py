@@ -9,11 +9,12 @@ and "strict" when it drops strictly along every cover.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from operator import add, or_
 
-from .errors import FlavorError
+from .errors import ArgError, FlavorError
 from .poset import (
     Poset,
     hasse_components,
@@ -118,6 +119,32 @@ def _multiset_vector(n: int, parts) -> tuple[int, ...]:
     return tuple(f)
 
 
+@cache  # one codec per shape, shared by every call
+class _Monomials:
+    """t^a x1^f1 ... x_nx^f_nx packed into one int, fields of 1, 2, 4 or 8
+    bytes holding 2 * trunc (the layout is in `ppart.series`)."""
+
+    def __init__(self, nx: int, trunc: int):
+        size = next((s for s in (1, 2, 4, 8) if 2 * trunc < 1 << 8 * s), None)
+        if size is None:
+            raise ArgError(f"truncation {trunc} too large")
+        self.trunc, self.fields = trunc, struct.Struct(f">{nx}{'BHIQ'[size.bit_length() - 1]}")
+        self.shift = nx * 8 * size  # of the degree field
+        self.mask = (1 << 8 * size) - 1 if nx else -1  # the degree is a when nx = 0
+        self.top = self.shift + 8 * size if nx else 0
+        self.units = tuple(self.pack(0, (0,) * i + (1,) + (0,) * (nx - 1 - i)) for i in range(nx))
+
+    def pack(self, t: int, xs) -> int:
+        return t << self.top | sum(xs) << self.shift | int.from_bytes(self.fields.pack(*xs), "big")
+
+    def unpack(self, key: int) -> tuple[int, tuple[int, ...]]:
+        low = (key & (1 << self.shift) - 1).to_bytes(self.fields.size, "big")
+        return key >> self.top, self.fields.unpack(low)
+
+    def unpacked(self, c: dict) -> dict:  # as TruncSeries coefficients, no zero kept
+        return {self.unpack(k): v for k, v in c.items() if v}
+
+
 def connected_decomposition(P: Poset, f) -> ConnDecomposition:
     """Split each level ideal into Hasse components; the resulting multiset
     is the unique trivially-intersecting expression for f."""
@@ -186,31 +213,29 @@ def _levels(P: Poset, flavor: str, N: int) -> list[dict[int, int]]:
     return levels + ([{P.full_mask: need_P}] if P.n > N else [])
 
 
-def _level_chains(P: Poset, flavor: str, N: int):
-    """(f, nu(f)) for each vector f of the flavor with |f| <= N, depth
-    first from a stack of open chains of admissible steps (`_levels`): f
-    sums the indicators of the levels A_1, A_2, ..., nu(f) their numbers of
-    cover components, and a chain ends when the step to 0 is admissible."""
+def _level_chains(P: Poset, flavor: str, N: int, mono):
+    """The monomial of each vector f of the flavor with |f| <= N, depth
+    first from a stack of open chains of admissible steps (`_levels`): the
+    sum of mono(A) over the levels A_1, A_2, ... of f, in a `_Monomials`
+    codec; a chain ends when the step to 0 is admissible."""
     levels = _levels(P, flavor, N)
-    seen = {}  # ideal -> (its indicator, its number of cover components), on first use
-    stack = [(P.full_mask, levels[-1][P.full_mask], (0,) * P.n, N, 0)] if N >= 0 else []
-    while stack:  # (last level A, need(A), f, budget, nu(f)) per open chain
-        A, need, f, budget, nu_f = stack.pop()
+    stack = [(P.full_mask, levels[-1][P.full_mask], 0, N)] if N >= 0 else []
+    while stack:  # (last level A, need(A), the monomial so far, budget) per open chain
+        A, need, f, budget = stack.pop()
         if not need:
-            yield f, nu_f
+            yield f
         for size, level in enumerate(levels[1:budget + 1], 1):
             for B, B_need in level.items():
                 if not B & ~A and not need & ~B:
-                    if B not in seen:
-                        seen[B] = _multiset_vector(P.n, ((B, 1),)), len(hasse_components(P, B))
-                    ind, c = seen[B]
-                    stack.append((B, B_need, tuple(map(add, f, ind)), budget - size, nu_f + c))
+                    stack.append((B, B_need, f + mono(B), budget - size))
 
 
 def enumerate_partitions(P: Poset, flavor: str, max_total: int):
     """All vectors of the given flavor with entry-sum <= max_total, in
     lexicographic order: the chains of level ideals of `_level_chains`."""
-    return sorted(f for f, _ in _level_chains(P, flavor, max_total))
+    fields = _Monomials(P.n, max_total)
+    mono = cache(lambda B: sum(fields.units[p - 1] for p in members(B)))
+    return sorted(fields.unpack(f)[1] for f in _level_chains(P, flavor, max_total, mono))
 
 
 def count_by_size(P: Poset, flavor: str, N: int) -> list[int]:

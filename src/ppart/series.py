@@ -1,18 +1,25 @@
 """Truncated generating functions over the integers.
 
 Everything here is exact: series are stored sparsely as maps from
-exponent vectors to integer coefficients.  A series with x variables is
-truncated by total x degree; one without (the pure t grading, where
-collapsing the x variables first would make individual factors
-divergent) is truncated by t degree.
+exponents (t, (x1, ..., xn)) to integer coefficients.  A series with x
+variables is truncated by total x degree; one without (the pure t
+grading, where collapsing the x variables first would make individual
+factors divergent) is truncated by t degree.
+
+The kernels key on packed monomials (`_Monomials`; Monagan and Pearce,
+CASC 2007): t^a x^f is one int of equal fields for x_n (lowest) to x1,
+then |f|, then a, unbounded (a alone with no x), so a product is one int
+sum.  A field holds 2 * max(trunc, 127), and a sum adds monomials of
+degree at most trunc, or an ideal's (at most n <= 64), so no field
+carries over.  Kernels pack `TruncSeries.coeffs` and unpack their result.
 
 Gradings accepted everywhere: "x-multi" (alias "x"), "(t,x)" ("tx"),
 "(t,q)" ("tq"), "q", and "t".  `_GRADINGS` gives the shape of each
-grading's series, and `_graded` is the one place that turns a value
-vector into a monomial of that shape.  Each grading has one counting
-engine, whatever the flavor: faces of the flag complex of Pi for t,
-Stanley's theorem for q, and for x, (t,x) and (t,q) the walk over chains
-of level ideals that yields each vector f with nu(f), summed per level.
+grading's series, and `_graded` is the one place that turns an ideal
+into a monomial of that shape.  Each grading has one counting engine,
+whatever the flavor: faces of the flag complex of Pi for t, Stanley's
+theorem for q, and for x, (t,x) and (t,q) the walk over chains of level
+ideals, whose monomial t^nu(f) x^f sums its levels' monomials.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cache, reduce
-from operator import add, or_
+from operator import or_
 
 from .errors import ArgError, CapError, InstabilityError, LabelError, NotFWDError
 from .extensions import fold_extensions, maj_coefficients
@@ -28,7 +35,7 @@ from .partitions import (
     WEAK,
     _check_flavor,
     _level_chains,
-    _multiset_vector,
+    _Monomials,
     _strict_covers,
     flavor_labelling,
 )
@@ -89,7 +96,9 @@ class TruncSeries:
             raise ArgError("exponent vector length mismatch")
         if t and not self.has_t:
             raise ArgError("t exponent in a t-free series")
-        if _degree((t, xs)) > self.trunc:
+        if t < 0 or any(e < 0 for e in xs):
+            raise ArgError("negative exponent")
+        if (sum(xs) if xs else t) > self.trunc:
             return
         key = (t, xs)
         c = self.coeffs.get(key, 0) + coeff
@@ -111,24 +120,24 @@ class TruncSeries:
             raise ArgError("series have incompatible shapes")
 
     def _buckets(self):
-        """Terms as (t, xs, c), grouped by truncated degree."""
-        buckets = {}
+        """The codec, and the terms within the truncation packed, by degree."""
+        buckets, codec = {}, _Monomials(self.nx, self.trunc)
         for (t, xs), c in self.coeffs.items():
-            buckets.setdefault(_degree((t, xs)), []).append((t, xs, c))
-        return buckets
+            if (d := sum(xs) if xs else t) <= self.trunc:
+                buckets.setdefault(d, []).append((codec.pack(t, xs), c))
+        return codec, buckets
 
     def __mul__(self, other):
         """Only bucket pairs whose degrees add up to at most trunc are
         multiplied, so no product term is built and then dropped."""
         self._compatible(other)
-        acc = {}
-        b = other._buckets()
-        for da, terms in self._buckets().items():
+        (codec, a), (_, b), acc = self._buckets(), other._buckets(), {}
+        for da, terms in a.items():
             for db, other_terms in b.items():
                 if da + db <= self.trunc:
                     _mul_into(acc, terms, other_terms)
         out = self._like()
-        out.coeffs = {k: c for k, c in acc.items() if c}
+        out.coeffs = codec.unpacked(acc)
         return out
 
     def __eq__(self, other):
@@ -151,7 +160,7 @@ class TruncSeries:
         c0 = self.constant_term()
         if c0 not in (1, -1):
             raise ArgError("inverse needs constant term +-1")
-        a = self._buckets()
+        codec, a = self._buckets()
         if len(a[0]) > 1:
             raise ArgError("inverse needs positive degree on nonconstant terms")
         b = [a[0]]
@@ -160,9 +169,9 @@ class TruncSeries:
             for k in range(1, d + 1):
                 if k in a:
                     _mul_into(acc, a[k], b[d - k])
-            b.append([(t, xs, -c0 * c) for (t, xs), c in acc.items() if c])
+            b.append([(m, -c0 * c) for m, c in acc.items() if c])
         out = self._like()
-        out.coeffs = {(t, xs): c for terms in b for t, xs, c in terms}
+        out.coeffs = codec.unpacked({m: c for terms in b for m, c in terms})
         return out
 
     def substitute_neg_t(self):
@@ -224,54 +233,50 @@ class TruncSeries:
 
 def _mul_into(acc, terms_a, terms_b):
     """Add the product of every term of terms_a with every term of
-    terms_b to the map acc from (t, xs) to coefficient."""
-    for t1, x1, c1 in terms_a:
-        for t2, x2, c2 in terms_b:
-            key = (t1 + t2, tuple(map(add, x1, x2)))
-            acc[key] = acc.get(key, 0) + c1 * c2
+    terms_b to the map acc from packed monomial to coefficient."""
+    for m1, c1 in terms_a:
+        for m2, c2 in terms_b:
+            k = m1 + m2
+            acc[k] = acc.get(k, 0) + c1 * c2
 
 
-# -- times and over 1 - m in place, on dicts (t, xs) -> coefficient; m is a key
+# -- times and over 1 - m in place, on dicts packed monomial -> coefficient
 
 
-def _degree(key):  # x degree, or t degree when there is no x variable
-    return sum(key[1]) if key[1] else key[0]
-
-
-def _plus_times(acc, c, m, trunc, sign=-1):
-    """acc + sign * m * c in place, dropping every term past trunc: one
-    addition per term of c with room for m."""
-    room, (tm, xm) = trunc - _degree(m), m
-    for (t, xs), v in c.items():
-        if (sum(xs) if xs else t) <= room:
-            k = (t + tm, tuple(map(add, xs, xm)))
-            acc[k] = acc.get(k, 0) + sign * v
+def _plus_times(acc, c, m, codec, sign=-1):
+    """acc + sign * m * c in place, dropping every term past the
+    truncation: one addition per term of c with room for m."""
+    shift, mask = codec.shift, codec.mask
+    room = codec.trunc - (m >> shift & mask)
+    for k, v in c.items():
+        if k >> shift & mask <= room:
+            acc[k + m] = acc.get(k + m, 0) + sign * v
     return acc
 
 
-def _times_one_minus(c, m, trunc):
+def _times_one_minus(c, m, codec):
     """c * (1 - m), with no zero stored."""
-    if _degree(m) < 1:
+    if m >> codec.shift & codec.mask < 1:
         raise ArgError("1 - m needs m of positive degree")
-    return {k: v for k, v in _plus_times(dict(c), c, m, trunc).items() if v}
+    return {k: v for k, v in _plus_times(dict(c), c, m, codec).items() if v}
 
 
-def _over_one_minus(c, m, trunc, shift=False):
+def _over_one_minus(c, m, codec, shift=False):
     """c / (1 - m), or c * m / (1 - m) with shift, in one pass by
     increasing degree: out[k] = c[k] + out[k - m]."""
-    if (d := _degree(m)) < 1:
+    if (d := m >> codec.shift & codec.mask) < 1:
         raise ArgError("1 - m needs m of positive degree")
-    out, by_degree, (tm, xm) = {}, [[] for _ in range(trunc + 1)], m
-    for (t, xs), v in c.items():
-        t, xs = (t + tm, tuple(map(add, xs, xm))) if shift else (t, xs)
-        if (e := sum(xs) if xs else t) <= trunc:
-            out[t, xs] = v
-            by_degree[e].append((t, xs))
+    trunc, sh, mask, m0 = codec.trunc, codec.shift, codec.mask, m if shift else 0
+    out, by_degree = {}, [[] for _ in range(trunc + 1)]
+    for k, v in c.items():
+        k += m0
+        if (e := k >> sh & mask) <= trunc:
+            out[k] = v
+            by_degree[e].append(k)
     for e in range(trunc + 1 - d):
-        for t, xs in by_degree[e]:
-            if v := out[t, xs]:
-                k = (t + tm, tuple(map(add, xs, xm)))
-                if k not in out:
+        for k in by_degree[e]:
+            if v := out[k]:
+                if (k := k + m) not in out:
                     by_degree[e + d].append(k)
                 out[k] = out.get(k, 0) + v
     return {k: v for k, v in out.items() if v}
@@ -281,24 +286,18 @@ def _over_one_minus(c, m, trunc, shift=False):
 
 
 def _graded(P: Poset, grading: str, N: int):
-    """The empty series of a grading, truncated at N >= 0, and its key
-    (f, nu) -> (t exponent, x exponents) for a value vector f with nu(f) = nu."""
+    """The empty series of a grading, truncated at N >= 0, its codec, and
+    mono(I) = t^c(I) x^I packed, for an ideal I of c(I) Hasse components."""
     if N < 0:
         raise ArgError(f"negative truncation {N}")
     has_t, xnames = _GRADINGS[normalize_grading(grading)]
     nx = P.n if xnames is None else len(xnames)
-    out = TruncSeries(nx, N, has_t, xnames=xnames)
-
-    def key(f, nu):
-        if xnames is None:
-            xs = tuple(f)
-        elif xnames:
-            xs = (sum(f),)  # a single q keeps |f|
-        else:
-            xs = ()  # the pure t grading keeps no x exponent
-        return (nu if has_t else 0, xs)
-
-    return out, key
+    out, codec = TruncSeries(nx, N, has_t, xnames=xnames), _Monomials(nx, N)
+    # x^I is the product of an x per element of I: its own for x, the q for q, 1 for t
+    unit = codec.units if xnames is None else (sum(codec.units),) * P.n
+    mono = cache(lambda I: (len(hasse_components(P, I)) << codec.top if has_t else 0)
+                 + sum(unit[p - 1] for p in members(I)))
+    return out, codec, mono
 
 
 # -- trivially-intersecting multisets -----------------------------------
@@ -363,13 +362,12 @@ def initial_quotient_hilbert(P: Poset, grading: str, N: int) -> TruncSeries:
     """Hilbert series of the quotient by the initial ideal, counted as
     trivially-intersecting multisets of connected ideals by total weight,
     each of them one weak vector (the t grading by `_t_by_faces`)."""
-    out, key = _graded(P, grading, N)
+    out, codec, mono = _graded(P, grading, N)
     if not out.nx:
         out.coeffs = _t_by_faces(P, WEAK, N)
-        return out
-    # a multiset's weight is its vector's x degree, within the truncation
-    out.coeffs = dict(Counter(key(_multiset_vector(P.n, ms), sum(m for _, m in ms))
-                              for ms in _iter_trivial_multisets(P, N)))
+    else:  # a multiset's weight is its vector's x degree, within the truncation
+        out.coeffs = codec.unpacked(Counter(sum(m * mono(J) for J, m in ms)
+                                            for ms in _iter_trivial_multisets(P, N)))
     return out
 
 
@@ -388,13 +386,13 @@ def hilbert_truncated(P: Poset, flavor: str, grading: str, N: int) -> TruncSerie
     by |f| alone, by Stanley's theorem (`_stanley_q`).  The x, (t,x) and
     (t,q) gradings walk chains of level ideals, nu summed per level."""
     _check_flavor(flavor)
-    out, key = _graded(P, grading, N)
+    out, codec, mono = _graded(P, grading, N)
     if not out.nx:
         out.coeffs = _t_by_faces(P, flavor, N)
     elif out.nx == 1 and not out.has_t:
         out.coeffs = _stanley_q(P, flavor, N)
     else:  # every listed f has |f| <= N, within the truncation
-        out.coeffs = dict(Counter(key(f, nu) for f, nu in _level_chains(P, flavor, N)))
+        out.coeffs = codec.unpacked(Counter(_level_chains(P, flavor, N, mono)))
     return out
 
 
@@ -424,19 +422,15 @@ def rational_sum_truncated(P: Poset, grading: str, N: int) -> TruncSeries:
     prefix, after a shift by m at a descent."""
     if not is_naturally_labelled(P):
         raise LabelError("rational sum needs a naturally labelled poset")
-    out, key = _graded(P, grading, N)
-
-    @cache
-    def m(prefix):
-        return key(_multiset_vector(P.n, ((prefix, 1),)), len(hasse_components(P, prefix)))
+    out, codec, mono = _graded(P, grading, N)
 
     def step(term, prefix, descent):
-        return _over_one_minus(term, m(prefix), N, shift=descent) if prefix else term
+        return _over_one_minus(term, mono(prefix), codec, shift=descent) if prefix else term
 
     # every factor has nonnegative coefficients, so no sum cancels to zero
-    total = fold_extensions(P, {(0, (0,) * out.nx): 1}, step,
+    total = fold_extensions(P, {0: 1}, step,
                             lambda a, b: {**a, **{k: a.get(k, 0) + v for k, v in b.items()}})
-    out.coeffs = _over_one_minus(total, m(P.full_mask), N)
+    out.coeffs = codec.unpacked(_over_one_minus(total, mono(P.full_mask), codec))
     return out
 
 
@@ -488,8 +482,9 @@ def _flag_numerator(P: Poset, D: int) -> TruncSeries:
     drops out."""
     conn = connected_ideals(P)  # vertex j is conn[j - 1], bit j - 1 of S
     clash = (0,) + clashes(P)
-    m = [None] + [(1, _multiset_vector(P.n, ((J, 1),))) for J in conn]  # m[j] = m_J
-    memo = {0: {(0, (0,) * P.n): 1}}
+    out, codec, mono = _graded(P, "tx", D)
+    m = [None] + [mono(J) for J in conn]  # m[j] = m_J
+    memo = {0: {0: 1}}
 
     def g(S):
         S = mask_of(j for j in members(S) if clash[j] & S)  # drop the cone points
@@ -498,14 +493,13 @@ def _flag_numerator(P: Poset, D: int) -> TruncSeries:
             s_v = S & ~(1 << (v - 1))
             rest, pivot = g(s_v), g(s_v & ~clash[v])
             for u in members(clash[v] & S):
-                pivot = _plus_times(dict(pivot), pivot, m[u], D)  # zeros go once, below
-            out = _plus_times(_times_one_minus(rest, m[v], D), pivot, m[v], D, sign=1)
-            memo[S] = {k: c for k, c in out.items() if c}
+                pivot = _plus_times(dict(pivot), pivot, m[u], codec)  # zeros go once, below
+            gS = _plus_times(_times_one_minus(rest, m[v], codec), pivot, m[v], codec, sign=1)
+            memo[S] = {k: c for k, c in gS.items() if c}
         return memo[S]
 
-    out = TruncSeries(P.n, D)
     try:
-        out.coeffs = g((1 << len(conn)) - 1)
+        out.coeffs = codec.unpacked(g((1 << len(conn)) - 1))
     except RecursionError:
         non_cone = sum(1 for c in clash if c)
         raise CapError(
@@ -565,13 +559,13 @@ def duplication_product(P: Poset, classification, grading: str,
     1 - m per connected ideal.  classification must be a successful recipe."""
     if not isinstance(classification, BuildRecipe):
         raise NotFWDError("duplication product needs a classified poset")
-    out, key = _graded(P, grading, N)
-    c = {(0, (0,) * out.nx): 1}
+    out, codec, mono = _graded(P, grading, N)
+    c = {0: 1}
     for pr in nontrivial_pairs(P):
-        c = _times_one_minus(c, key(_multiset_vector(P.n, ((pr.j1, 1), (pr.j2, 1))), 2), N)
+        c = _times_one_minus(c, mono(pr.j1) + mono(pr.j2), codec)
     for J in connected_ideals(P):
-        c = _over_one_minus(c, key(_multiset_vector(P.n, ((J, 1),)), 1), N)
-    out.coeffs = c
+        c = _over_one_minus(c, mono(J), codec)
+    out.coeffs = codec.unpacked(c)
     return out
 
 

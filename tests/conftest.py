@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from operator import add
 
 import pytest
 
@@ -9,10 +10,20 @@ from ppart import (
     clashes,
     connected_ideals,
     enumerate_posets,
+    hasse_components,
     lex_min_extension,
     members,
 )
-from ppart.partitions import FLAVORS, _check_flavor, _strict_covers, classify_map
+from ppart.partitions import (
+    FLAVORS,
+    _check_flavor,
+    _levels,
+    _Monomials,
+    _multiset_vector,
+    _strict_covers,
+    classify_map,
+)
+from ppart.series import _GRADINGS, _graded, normalize_grading
 
 
 def random_poset(rng, n, p=0.3):
@@ -133,3 +144,199 @@ def enumerate_by_assignment(P, flavor, max_total):
     del assign  # its closure cycle would keep out alive until a full collection
     out.sort()
     return out
+
+
+# -- the plain oracles, run once per session ------------------------------
+#
+# The every-small-poset tests of the walk, the counts by size and the face
+# count ask the same oracles of the same posets; these fixtures share that
+# work.  Each keeps every case its tests check.
+
+SMALL_DEPTH = 9  # the deepest N the small-poset tests list or count vectors to
+SMALL_SHORT = 6  # the deepest N they compare lists of vectors at
+
+
+@pytest.fixture(scope="session")
+def posets_to5(posets3, posets4, posets5):
+    """Every poset with n <= 5."""
+    return [P for n in (1, 2) for P in enumerate_posets(n)] + posets3 + posets4 + posets5
+
+
+@pytest.fixture(scope="session")
+def small_vectors(posets_to5):
+    """{P: {flavor: (sizes, short)}} for every poset with n <= 5, the
+    plain way: one assignment listing of the weak vectors with |f| <=
+    SMALL_DEPTH, each sorted into the flavors it has by `classify_map`.
+    sizes[d] counts the vectors of the flavor with |f| = d, and short
+    lists those with |f| <= SMALL_SHORT in lexicographic order."""
+    out = {}
+    for P in posets_to5:
+        sizes = {flavor: [0] * (SMALL_DEPTH + 1) for flavor in FLAVORS}
+        short = {flavor: [] for flavor in FLAVORS}
+        for f in enumerate_by_assignment(P, FLAVORS[0], SMALL_DEPTH):
+            cls, d = classify_map(P, f), sum(f)
+            for flavor in FLAVORS[:FLAVORS.index(cls) + 1]:  # cls and every weaker flavor
+                sizes[flavor][d] += 1
+                if d <= SMALL_SHORT:
+                    short[flavor].append(f)
+        out[P] = {flavor: (sizes[flavor], short[flavor]) for flavor in FLAVORS}
+    return out
+
+
+@pytest.fixture(scope="session")
+def t_walks():
+    """`t_series_by_walk`, each poset walked once at the deepest N asked;
+    a shallower N keeps the terms of t degree up to N."""
+    kept = {}  # P -> (the deepest N walked, its walk)
+
+    def walks(P, N):
+        if P not in kept or kept[P][0] < N:
+            kept[P] = (N, t_series_by_walk(P, N))
+        return {flavor: {k: c for k, c in coeffs.items() if k[0] <= N}
+                for flavor, coeffs in kept[P][1].items()}
+
+    return walks
+
+
+# -- packed monomials and the tuple-key kernels they replaced ------------
+#
+# The series kernels key on packed monomials (`partitions._Monomials`);
+# TruncSeries.coeffs keys on (t, xs).  The kernels below are the tuple-key
+# code they replaced, kept as oracles: a key is (t, xs), and its degree the
+# x degree, or the t degree when there is no x variable.
+
+
+def codec_of(s):
+    """The packed-monomial codec of a series' shape."""
+    return _Monomials(s.nx, s.trunc)
+
+
+def packed(coeffs, codec):
+    return {codec.pack(t, xs): c for (t, xs), c in coeffs.items()}
+
+
+def unpacked(coeffs, codec):
+    return {codec.unpack(k): c for k, c in coeffs.items()}
+
+
+def graded_key(P, grading, N):
+    """The empty series of a grading and its tuple key (f, nu) -> (t, xs)
+    for a value vector f with nu(f) = nu."""
+    has_t, xnames = _GRADINGS[normalize_grading(grading)]
+
+    def key(f, nu):
+        # x keeps f, a single q keeps |f|, the pure t grading keeps no x exponent
+        xs = tuple(f) if xnames is None else (sum(f),) if xnames else ()
+        return (nu if has_t else 0, xs)
+
+    return _graded(P, grading, N)[0], key
+
+
+def specialized(s, P, grading):
+    """The (t,x) series s in a grading with an x variable: each term
+    t^nu x^f moves to the grading's key of (f, nu)."""
+    out, key = graded_key(P, grading, s.trunc)
+    for (t, xs), c in s.coeffs.items():
+        out.add_term(*key(xs, t), c)
+    return out
+
+
+def degree(key):
+    return sum(key[1]) if key[1] else key[0]
+
+
+def plus_times(acc, c, m, trunc, sign=-1):
+    """acc + sign * m * c in place, dropping every term past trunc."""
+    room, (tm, xm) = trunc - degree(m), m
+    for (t, xs), v in c.items():
+        if (sum(xs) if xs else t) <= room:
+            k = (t + tm, tuple(map(add, xs, xm)))
+            acc[k] = acc.get(k, 0) + sign * v
+    return acc
+
+
+def times_one_minus(c, m, trunc):
+    """c * (1 - m), with no zero stored."""
+    assert degree(m) >= 1
+    return {k: v for k, v in plus_times(dict(c), c, m, trunc).items() if v}
+
+
+def over_one_minus(c, m, trunc, shift=False):
+    """c / (1 - m), or c * m / (1 - m) with shift, in one pass by
+    increasing degree: out[k] = c[k] + out[k - m]."""
+    assert (d := degree(m)) >= 1
+    out, by_degree, (tm, xm) = {}, [[] for _ in range(trunc + 1)], m
+    for (t, xs), v in c.items():
+        t, xs = (t + tm, tuple(map(add, xs, xm))) if shift else (t, xs)
+        if (e := sum(xs) if xs else t) <= trunc:
+            out[t, xs] = v
+            by_degree[e].append((t, xs))
+    for e in range(trunc + 1 - d):
+        for t, xs in by_degree[e]:
+            if v := out[t, xs]:
+                k = (t + tm, tuple(map(add, xs, xm)))
+                if k not in out:
+                    by_degree[e + d].append(k)
+                out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def _buckets(s):
+    """Terms as (t, xs, c), grouped by truncated degree."""
+    buckets = {}
+    for (t, xs), c in s.coeffs.items():
+        buckets.setdefault(degree((t, xs)), []).append((t, xs, c))
+    return buckets
+
+
+def _mul_into(acc, terms_a, terms_b):
+    for t1, x1, c1 in terms_a:
+        for t2, x2, c2 in terms_b:
+            key = (t1 + t2, tuple(map(add, x1, x2)))
+            acc[key] = acc.get(key, 0) + c1 * c2
+
+
+def mul_by_tuples(a, b):
+    """a * b, bucket pairs of degrees adding up to at most trunc."""
+    acc = {}
+    for da, terms in _buckets(a).items():
+        for db, other_terms in _buckets(b).items():
+            if da + db <= a.trunc:
+                _mul_into(acc, terms, other_terms)
+    out = TruncSeries(a.nx, a.trunc, a.has_t, xnames=a.xnames)
+    out.coeffs = {k: c for k, c in acc.items() if c}
+    return out
+
+
+def inverse_by_tuples(s):
+    """1 / s one degree at a time: b_d = -c0 * sum_{k=1..d} a_k b_{d-k}."""
+    c0, a = s.constant_term(), _buckets(s)
+    b = [a[0]]
+    for d in range(1, s.trunc + 1):
+        acc = {}
+        for k in range(1, d + 1):
+            if k in a:
+                _mul_into(acc, a[k], b[d - k])
+        b.append([(t, xs, -c0 * c) for (t, xs), c in acc.items() if c])
+    out = TruncSeries(s.nx, s.trunc, s.has_t, xnames=s.xnames)
+    out.coeffs = {(t, xs): c for terms in b for t, xs, c in terms}
+    return out
+
+
+def level_chains_by_tuples(P, flavor, N):
+    """(f, nu(f)) for each vector f of the flavor with |f| <= N, from the
+    chains of level ideals, f and nu summed as tuples and ints."""
+    levels = _levels(P, flavor, N)
+    seen = {}  # ideal -> (its indicator, its number of cover components), on first use
+    stack = [(P.full_mask, levels[-1][P.full_mask], (0,) * P.n, N, 0)] if N >= 0 else []
+    while stack:  # (last level A, need(A), f, budget, nu(f)) per open chain
+        A, need, f, budget, nu_f = stack.pop()
+        if not need:
+            yield f, nu_f
+        for size, level in enumerate(levels[1:budget + 1], 1):
+            for B, B_need in level.items():
+                if not B & ~A and not need & ~B:
+                    if B not in seen:
+                        seen[B] = _multiset_vector(P.n, ((B, 1),)), len(hasse_components(P, B))
+                    ind, c = seen[B]
+                    stack.append((B, B_need, tuple(map(add, f, ind)), budget - size, nu_f + c))

@@ -155,3 +155,35 @@ def test_every_paused_function_is_cycle_tested():
     finally:
         sys.setprofile(None)
     assert [f for f in paused if f not in called] == []
+
+
+# Python 3.10 has no default length or byteorder for `int.to_bytes` and
+# `int.from_bytes`; both arrived in 3.11, which runs the rest of the suite.
+BYTES_CALLS = ("to_bytes", "from_bytes")
+
+
+def implicit_byte_calls(source: str) -> list[str]:
+    """Calls of to_bytes or from_bytes that leave out the length (for
+    to_bytes) or the byteorder, by position or keyword."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in BYTES_CALLS):
+            given = len(node.args) + sum(k.arg in ("length", "byteorder") for k in node.keywords)
+            if given < 2:
+                out.append(f"{node.func.attr} (line {node.lineno})")
+    return out
+
+
+def test_byte_calls_name_length_and_byteorder():
+    calls = {p.name: p.read_text().count("_bytes(") for p in SRC.glob("*.py")}
+    assert sum(calls.values()) >= 3  # the codec's pack and unpack
+    for path in SRC.glob("*.py"):
+        assert implicit_byte_calls(path.read_text()) == [], path.name
+
+
+def test_detects_an_implicit_byte_call():
+    source = ("k.to_bytes(4, 'big')\nk.to_bytes()\nk.to_bytes(length=2)\n"
+              "int.from_bytes(b, 'big')\nint.from_bytes(b)\nk.to_bytes(2, byteorder='big')\n")
+    assert implicit_byte_calls(source) == ["to_bytes (line 2)", "to_bytes (line 3)",
+                                           "from_bytes (line 5)"]

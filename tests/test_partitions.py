@@ -26,6 +26,7 @@ from ppart import (
 from conftest import enumerate_by_assignment, random_posets
 from ppart.fixtures import BOWTIE, EX33, FIG1, FORB1, FORB2, FORB3, P1, P2, P3
 from ppart.partitions import _level_chains, _levels
+from ppart.series import _graded
 
 CHAIN2 = Poset(2, [(1, 2)])
 FIG1_F = (5, 4, 2, 1, 2, 4, 0, 1)
@@ -251,25 +252,34 @@ class TestEnumerate:
                 assert count_by_size(P, flavor, -1) == []
 
 
+def _walk(P, flavor, N):
+    """(f, nu(f)) for each vector the walk yields, its monomials t^nu x^f
+    packed and unpacked by the (t,x) codec."""
+    _, codec, mono = _graded(P, "tx", max(N, 0))
+    return Counter((xs, t) for t, xs in map(codec.unpack, _level_chains(P, flavor, N, mono)))
+
+
 class TestLevelChains:
     """The walk over chains of level ideals against the assignment
     enumeration it replaced, with nu from the connected decomposition.
-    One oracle listing up to the deepest N serves every shallower one."""
+    One oracle listing up to the deepest N serves every shallower one; on
+    the posets with n <= 5 it is `conftest.small_vectors`."""
 
     FLAVORS = ("weak", "standard", "strict")
 
-    def _check(self, P, Ns):
+    def _check(self, P, Ns, listing=None):
+        """listing: {flavor: the oracle's vectors up to some N >= max(Ns)}."""
         for flavor in self.FLAVORS:
-            oracle = enumerate_by_assignment(P, flavor, max(Ns))
+            vectors = listing[flavor] if listing else enumerate_by_assignment(P, flavor, max(Ns))
+            oracle = [(f, nu(P, f)) for f in vectors if sum(f) <= max(Ns)]
             for N in Ns:
-                expect = [f for f in oracle if sum(f) <= N]
-                assert enumerate_partitions(P, flavor, N) == expect, (P, flavor, N)
-                walk = Counter(_level_chains(P, flavor, N))
-                assert walk == Counter((f, nu(P, f)) for f in expect), (P, flavor, N)
+                expect = [(f, c) for f, c in oracle if sum(f) <= N]
+                assert enumerate_partitions(P, flavor, N) == [f for f, _ in expect], (P, flavor, N)
+                assert _walk(P, flavor, N) == Counter(expect), (P, flavor, N)
 
-    def test_every_small_poset(self, posets3, posets4, posets5):
-        for P in [P for n in (1, 2) for P in enumerate_posets(n)] + posets3 + posets4 + posets5:
-            self._check(P, (0, 1, 4))
+    def test_every_small_poset(self, small_vectors):
+        for P, by_flavor in small_vectors.items():
+            self._check(P, (0, 1, 4), {flavor: short for flavor, (_, short) in by_flavor.items()})
 
     def test_random_posets(self):
         for P in random_posets(19, 40, (6, 7, 8)):
@@ -287,12 +297,13 @@ class TestNeedBeyondN:
 
     TREE18_TOP = Poset(18, [(k, k // 2) for k in range(2, 19)])  # standard, strict: need(P) = P - root
 
-    def test_small_posets_and_tree18(self, posets3, posets4):
-        small = [P for n in (1, 2) for P in enumerate_posets(n)] + posets3 + posets4
+    def test_small_posets_and_tree18(self, small_vectors):
+        small = {P: {flavor: short for flavor, (_, short) in by_flavor.items()}
+                 for P, by_flavor in small_vectors.items() if P.n <= 4}
         beyond = 0
-        for P in small + [self.TREE18_TOP]:
+        for P in [*small, self.TREE18_TOP]:
             for flavor in ("weak", "standard", "strict"):
-                oracle = enumerate_by_assignment(P, flavor, 6)
+                oracle = small[P][flavor] if P in small else enumerate_by_assignment(P, flavor, 6)
                 for N in range(7):
                     levels = _levels(P, flavor, N)
                     expect = [f for f in oracle if sum(f) <= N]
@@ -316,20 +327,21 @@ def _sizes_by_enumeration(P, flavor, N):
 class TestCountBySize:
     """count_by_size, by chains of level ideals, against the assignment
     enumeration.  One enumeration up to the deepest N serves every
-    shallower one."""
+    shallower one; on the posets with n <= 5 it is the session's weak
+    listing sorted into flavors (`conftest.small_vectors`)."""
 
     FLAVORS = ("weak", "standard", "strict")
 
-    def _check(self, P, Ns):
+    def _check(self, P, Ns, sizes=None):
+        """sizes: {flavor: the oracle's counts by size up to max(Ns) or deeper}."""
         for flavor in self.FLAVORS:
-            expect = _sizes_by_enumeration(P, flavor, max(Ns))
+            expect = sizes[flavor] if sizes else _sizes_by_enumeration(P, flavor, max(Ns))
             for N in Ns:
                 assert count_by_size(P, flavor, N) == expect[: N + 1], (P, flavor, N)
 
-    def test_every_small_poset(self, posets3, posets4, posets5):
-        small = [P for n in (1, 2) for P in enumerate_posets(n)] + posets3 + posets4 + posets5
-        for P in small:
-            self._check(P, (0, 1, 5, 9))
+    def test_every_small_poset(self, small_vectors):
+        for P, by_flavor in small_vectors.items():
+            self._check(P, (0, 1, 5, 9), {flavor: sizes for flavor, (sizes, _) in by_flavor.items()})
 
     def test_random_posets(self):
         for P in random_posets(15, 40, (6, 7, 8)):

@@ -24,6 +24,7 @@ from ppart import (
     connected_ideals,
     count_ideals,
     delta_complex,
+    hasse_components,
     duplication_product,
     enumerate_partitions,
     enumerate_posets,
@@ -31,9 +32,11 @@ from ppart import (
     hook_count,
     hook_formula,
     initial_quotient_hilbert,
+    is_ideal,
     is_naturally_labelled,
     koszul_inverse,
     maj_polynomial,
+    natural_relabel,
     nontrivial_pairs,
     numerator_polynomial,
     q_int,
@@ -41,11 +44,28 @@ from ppart import (
     trivially_intersecting,
 )
 from cli_golden import run_cli
-from conftest import one_minus, plus, random_posets, t_series_by_walk, truncated
+from conftest import (
+    codec_of,
+    graded_key,
+    inverse_by_tuples,
+    level_chains_by_tuples,
+    mul_by_tuples,
+    one_minus,
+    over_one_minus,
+    packed,
+    plus,
+    plus_times,
+    random_posets,
+    specialized,
+    t_series_by_walk,
+    times_one_minus,
+    truncated,
+    unpacked,
+)
 from ppart import extensions, partitions, series
 from ppart.extensions import DEFAULT_CAP
 from ppart.fixtures import BOWTIE, EX33, FIG1, FORB1, FORB2, FORB3, P1, P2, P3
-from ppart.partitions import FLAVORS, WEAK, _multiset_vector, _strict_covers
+from ppart.partitions import FLAVORS, WEAK, _Monomials, _multiset_vector, _strict_covers
 from ppart.series import (
     _graded,
     _hook_sizes,
@@ -193,8 +213,9 @@ class TestTruncSeries:
             b = random_series(rng, nx, has_t, trunc, rng.choice((1, -1)))
             products = [a * b, b * a, a * a]
             assert products == [naive_mul(a, b), naive_mul(b, a), naive_mul(a, a)]
+            assert products == [mul_by_tuples(a, b), mul_by_tuples(b, a), mul_by_tuples(a, a)]
             inv = a.inverse()
-            assert inv == fixed_point_inverse(a)
+            assert inv == fixed_point_inverse(a) == inverse_by_tuples(a)
             assert a * inv == 1
             for s in products + [inv]:
                 assert_canonical(s)
@@ -217,6 +238,16 @@ class TestTruncSeries:
         assert got == plus(one, naive_mul(m, m), -1)
         assert_canonical(got)
 
+    def test_add_term_rejects_a_negative_exponent(self):
+        # a negative exponent would borrow from the next field of a packed monomial
+        s = TruncSeries(2, 6)
+        for t, xs in ((-1, (3, 2)), (1, (3, -2)), (-1, (3, -2))):
+            with pytest.raises(ArgError, match="negative exponent"):
+                s.add_term(t, xs, 5)
+        with pytest.raises(ArgError, match="negative exponent"):
+            TruncSeries(0, 6).add_term(-1, (), 1)
+        assert s.coeffs == {} and repr(s) == "0"
+
     def test_randomized_ring_axioms(self):
         rng = random.Random(7)
         for _ in range(25):
@@ -235,6 +266,55 @@ class TestTruncSeries:
             assert a * plus(b, c) == plus(a * b, a * c)
             if a.constant_term() == 1:
                 assert a * a.inverse() == a.one_like()
+
+
+class TestPackedMonomials:
+    """The codec of `partitions._Monomials` and the series kernels at the
+    edges of its layout: the field width that holds 2 * trunc, and the
+    unbounded t field on top."""
+
+    @pytest.mark.parametrize("trunc, size", [(127, 1), (128, 2)])
+    def test_field_width_step(self, trunc, size):
+        # 2 * 127 fits a byte, 2 * 128 does not
+        codec = _Monomials(3, trunc)
+        assert codec.fields.size == 3 * size
+        for xs in ((2 * trunc, 0, 0), (0, trunc, trunc), (1, 0, 2 * trunc - 1)):
+            k = codec.pack(5, xs)
+            assert codec.unpack(k) == (5, xs) and k >> codec.shift & codec.mask == 2 * trunc
+        # 1 / (1 - x1 - x2) has C(a + b, a) at x1^a x2^b, up to a + b = trunc
+        s = TruncSeries(2, trunc, has_t=False)
+        s.add_term(0, (0, 0), 1)
+        s.add_term(0, (1, 0), -1)
+        s.add_term(0, (0, 1), -1)
+        inv = s.inverse()
+        assert inv.coeffs == {(0, (a, d - a)): math.comb(d, a)
+                              for d in range(trunc + 1) for a in range(d + 1)}
+        assert s * inv == 1
+        # weak vectors f1 >= f2 of the 2-chain, t^f1 x1^f1 x2^f2, up to f1 + f2 = trunc
+        expect = {(a, (a, b)): 1 for a in range(trunc + 1) for b in range(a + 1) if a + b <= trunc}
+        for got in (hilbert_truncated(CHAIN2, "weak", "tx", trunc),
+                    rational_sum_truncated(CHAIN2, "tx", trunc),
+                    initial_quotient_hilbert(CHAIN2, "tx", trunc),
+                    duplication_product(CHAIN2, classify(CHAIN2), "tx", trunc)):
+            assert got.coeffs == expect
+
+    @pytest.mark.parametrize("nx", [1, 2])
+    def test_t_exponents_past_two_bytes(self, nx):
+        big = 1 << 16
+        rng = random.Random(nx)
+        a, b = TruncSeries(nx, 4), TruncSeries(nx, 4)
+        for s in (a, b):
+            s.add_term(0, (0,) * nx, 1)
+            for _ in range(5):
+                xs = tuple(rng.randint(0, 2) for _ in range(nx))
+                if sum(xs):
+                    s.add_term(big * rng.randint(1, 3) + rng.randint(0, 1), xs, rng.choice((-1, 1)))
+        assert max(t for t, _ in (a * b).coeffs) >= 2 * big
+        assert a * b == naive_mul(a, b) == mul_by_tuples(a, b)
+        assert a.inverse() == fixed_point_inverse(a) == inverse_by_tuples(a)
+        # 1 / (1 - t^big x1) = sum of t^(big d) x1^d
+        g = geometric(big, (1,) + (0,) * (nx - 1), a)
+        assert g.coeffs == {(big * d, (d,) + (0,) * (nx - 1)): 1 for d in range(5)}
 
 
 def _monomial(like, t, xs):
@@ -257,48 +337,66 @@ def _random_monomials(rng, nx, has_t, trunc):
 
 class TestOneMinusKernels:
     """Multiplying and dividing by 1 - m in place against the series
-    products they replace, in the shapes of the x, (t,x), q, (t,q) and t
-    gradings."""
+    products they replace and against the tuple-key kernels, in the
+    shapes of the x, (t,x), q, (t,q) and t gradings; the kernels read and
+    write packed monomials, so each call packs its input and unpacks its
+    result."""
 
     @pytest.mark.parametrize("nx, has_t, trunc", SHAPES)
     def test_match_products(self, nx, has_t, trunc):
         rng = random.Random(31 * nx + trunc + has_t)
         for _ in range(15):
             c = random_series(rng, nx, has_t, trunc, rng.choice((0, 1, -2)))
+            codec = codec_of(c)
+            pc = packed(c.coeffs, codec)
             for m in _random_monomials(rng, nx, has_t, trunc):
+                pm = codec.pack(*m)
                 times_m = naive_mul(c, _monomial(c, *m))
-                assert _plus_times({}, c.coeffs, m, trunc, sign=1) == times_m.coeffs, m
-                acc = _plus_times(dict(c.coeffs), c.coeffs, m, trunc, sign=1)
+                got = unpacked(_plus_times({}, pc, pm, codec, sign=1), codec)
+                assert got == times_m.coeffs == plus_times({}, c.coeffs, m, trunc, sign=1), m
+                acc = unpacked(_plus_times(dict(pc), pc, pm, codec, sign=1), codec)
                 assert {k: v for k, v in acc.items() if v} == plus(c, times_m).coeffs, m
                 over = c * one_minus(c, m).inverse()
-                assert _times_one_minus(c.coeffs, m, trunc) == (c * one_minus(c, m)).coeffs, m
-                assert _over_one_minus(c.coeffs, m, trunc) == over.coeffs, m
-                shifted = _over_one_minus(c.coeffs, m, trunc, shift=True)
+                got = unpacked(_times_one_minus(pc, pm, codec), codec)
+                assert got == (c * one_minus(c, m)).coeffs == times_one_minus(c.coeffs, m, trunc), m
+                got = unpacked(_over_one_minus(pc, pm, codec), codec)
+                assert got == over.coeffs == over_one_minus(c.coeffs, m, trunc), m
+                shifted = unpacked(_over_one_minus(pc, pm, codec, shift=True), codec)
                 assert shifted == (over * _monomial(c, *m)).coeffs, m
                 assert shifted == plus(over, c, -1).coeffs, m
+                assert shifted == over_one_minus(c.coeffs, m, trunc, shift=True), m
 
     @pytest.mark.parametrize("nx, has_t, trunc", SHAPES)
     def test_cancellation_stores_no_zero(self, nx, has_t, trunc):
         one = TruncSeries(nx, trunc, has_t).one_like()
+        codec = codec_of(one)
+
+        def over(c, m, shift=False):
+            return unpacked(_over_one_minus(packed(c, codec), codec.pack(*m), codec, shift), codec)
+
+        def times(c, m):
+            return unpacked(_times_one_minus(packed(c, codec), codec.pack(*m), codec), codec)
+
         m = (int(has_t), (1,) + (0,) * (nx - 1)) if nx else (1, ())  # of degree 1
         m2 = (2 * m[0], tuple(2 * e for e in m[1]))
         geometric_m = one_minus(one, m).inverse().coeffs
-        assert _over_one_minus(one_minus(one, m).coeffs, m, trunc) == one.coeffs
-        assert _times_one_minus(geometric_m, m, trunc) == one.coeffs
+        assert over(one_minus(one, m).coeffs, m) == one.coeffs
+        assert times(geometric_m, m) == one.coeffs
         # (1 - m^2) / (1 - m) = 1 + m: every power from m^2 up cancels in the pass
         one_minus_m2 = {**one.coeffs, m2: -1}
-        assert _over_one_minus(one_minus_m2, m, trunc) == {**one.coeffs, m: 1}
-        assert _over_one_minus(one_minus_m2, m, trunc, shift=True) == {m: 1, m2: 1}
-        assert _times_one_minus({**one.coeffs, m: 1}, m, trunc) == one_minus_m2
+        assert over(one_minus_m2, m) == {**one.coeffs, m: 1}
+        assert over(one_minus_m2, m, shift=True) == {m: 1, m2: 1}
+        assert times({**one.coeffs, m: 1}, m) == one_minus_m2
 
     @pytest.mark.parametrize("nx, has_t, trunc", SHAPES)
     def test_degree_zero_raises(self, nx, has_t, trunc):
-        c = TruncSeries(nx, trunc, has_t).one_like().coeffs
+        one = TruncSeries(nx, trunc, has_t).one_like()
+        codec = codec_of(one)
         zero_degree = [(0, (0,) * nx)] + ([(1, (0,) * nx)] if has_t and nx else [])
         for m in zero_degree:
             for kernel in (_times_one_minus, _over_one_minus):
                 with pytest.raises(ArgError, match="positive degree"):
-                    kernel(c, m, trunc)
+                    kernel(packed(one.coeffs, codec), codec.pack(*m), codec)
 
     @pytest.mark.parametrize("P, N", [
         pytest.param(FIG1, 20, id="fig1"),
@@ -330,7 +428,7 @@ class TestHilbert:
 
     def test_negative_truncation_raises(self):
         # one check in `_graded` covers every truncated series, in every grading;
-        # the numerator, which builds no graded series, checks N itself
+        # the numerator checks N itself, before its degree bounds
         calls = [(koszul_inverse, (FIG1, -1)), (numerator_polynomial, (CHAIN3, -1)),
                  (numerator_polynomial, (FIG1, -1))]
         for g in ("x", "tx", "q", "tq", "t"):
@@ -522,7 +620,7 @@ def _numerator_at(P, N):
     P-partitions times prod_J (1 - t x^J), exact in every x degree up to
     its truncation N."""
     h = hilbert_truncated(P, WEAK, "tx", N)
-    _, key = _graded(P, "tx", N)
+    _, key = graded_key(P, "tx", N)
     out = h
     for J in connected_ideals(P):
         out = out * one_minus(h, key(_multiset_vector(P.n, ((J, 1),)), 1))
@@ -653,7 +751,7 @@ class TestHook:
 def _duplication_by_products(P, grading, N):
     """Oracle for the duplication product: a series product by 1 - m per
     pair of Pi and by the inverse of 1 - m per connected ideal."""
-    out, key = _graded(P, grading, N)
+    out, key = graded_key(P, grading, N)
     out = out.one_like()
     for pr in nontrivial_pairs(P):
         out = out * one_minus(out, key(_multiset_vector(P.n, ((pr.j1, 1), (pr.j2, 1))), 2))
@@ -664,15 +762,6 @@ def _duplication_by_products(P, grading, N):
 
 def _fwd(posets):
     return [(P, r) for P in posets if isinstance(r := classify(P), BuildRecipe)]
-
-
-def _specialized(s, P, grading):
-    """The (t,x) series s in a grading with an x variable: each term
-    t^nu x^f moves to the grading's key of (f, nu)."""
-    out, key = _graded(P, grading, s.trunc)
-    for (t, xs), c in s.coeffs.items():
-        out.add_term(*key(xs, t), c)
-    return out
 
 
 class TestDuplicationProduct:
@@ -689,7 +778,7 @@ class TestDuplicationProduct:
             want = {g: _duplication_by_products(P, g, max(Ns)) for g in products}
             for grading in self.GRADINGS:
                 if grading not in want:
-                    want[grading] = _specialized(want["tx"], P, grading)
+                    want[grading] = specialized(want["tx"], P, grading)
                 for N in Ns:
                     got = duplication_product(P, r, grading, N)
                     assert (got.trunc, got) == (N, truncated(want[grading], N)), (P, grading, N)
@@ -765,6 +854,100 @@ class TestKoszul:
         expect.add_term(1, (0, 1), 1)
         expect.add_term(2, (1, 1), 1)
         assert inv == expect
+
+
+# -- the public series functions on tuple keys, from the conftest kernels
+
+
+def _hilbert_by_tuples(P, walk, grading, N):
+    """Every vector's key from a Counter of the walk on tuples, in a
+    grading with x."""
+    out, key = graded_key(P, grading, N)
+    coeffs = Counter()
+    for (f, nu), c in walk.items():
+        coeffs[key(f, nu)] += c
+    out.coeffs = dict(coeffs)
+    return out
+
+
+def _initial_quotient_by_tuples(P, grading, N):
+    out, key = graded_key(P, grading, N)
+    out.coeffs = dict(Counter(key(_multiset_vector(P.n, ms), sum(m for _, m in ms))
+                              for ms in series._iter_trivial_multisets(P, N)))
+    return out
+
+
+def _rational_sum_by_tuples(P, grading, N):
+    out, key = graded_key(P, grading, N)
+    m = {I: key(_multiset_vector(P.n, ((I, 1),)), len(hasse_components(P, I)))
+         for I in range(1, P.full_mask + 1) if is_ideal(P, I)}
+
+    def step(term, prefix, descent):
+        return over_one_minus(term, m[prefix], N, shift=descent) if prefix else term
+
+    total = extensions.fold_extensions(
+        P, {(0, (0,) * out.nx): 1}, step,
+        lambda a, b: {**a, **{k: a.get(k, 0) + v for k, v in b.items()}})
+    out.coeffs = over_one_minus(total, m[P.full_mask], N)
+    return out
+
+
+def _duplication_by_tuples(P, grading, N):
+    out, key = graded_key(P, grading, N)
+    c = {(0, (0,) * out.nx): 1}
+    for pr in nontrivial_pairs(P):
+        c = times_one_minus(c, key(_multiset_vector(P.n, ((pr.j1, 1), (pr.j2, 1))), 2), N)
+    for J in connected_ideals(P):
+        c = over_one_minus(c, key(_multiset_vector(P.n, ((J, 1),)), 1), N)
+    out.coeffs = c
+    return out
+
+
+class TestAgainstTupleOracles:
+    """Every public series function on packed monomials against the same
+    algorithm on (t, xs) keys, in the x, (t,x), q and (t,q) gradings and
+    every flavor: every poset with n <= 4 at N in {0, 1, 4}, every 25th
+    with n = 5 at N = 3, and the fixtures at N in {0, 1, 4, 6}."""
+
+    GRADINGS = ("x", "tx", "q", "tq")
+
+    def _check(self, P, Ns):
+        """Each oracle once, at the deepest N: a truncated answer is exact
+        in every degree up to its truncation."""
+        Q = P if is_naturally_labelled(P) else natural_relabel(P)[0]
+        recipe, deepest = classify(P), max(Ns)
+        walks = {flavor: Counter(level_chains_by_tuples(P, flavor, deepest)) for flavor in FLAVORS}
+        want = {}
+        for g in self.GRADINGS:
+            for flavor, walk in walks.items():
+                want[hilbert_truncated, flavor, g] = _hilbert_by_tuples(P, walk, g, deepest)
+            want[initial_quotient_hilbert, g] = _initial_quotient_by_tuples(P, g, deepest)
+            want[rational_sum_truncated, g] = _rational_sum_by_tuples(Q, g, deepest)
+            if isinstance(recipe, BuildRecipe):
+                want[duplication_product, g] = _duplication_by_tuples(P, g, deepest)
+        h = want[hilbert_truncated, WEAK, "tx"].substitute_neg_t()
+        want[koszul_inverse] = inverse_by_tuples(h)
+        for N in Ns:
+            got = {(hilbert_truncated, flavor, g): hilbert_truncated(P, flavor, g, N)
+                   for g in self.GRADINGS for flavor in FLAVORS}
+            for g in self.GRADINGS:
+                got[initial_quotient_hilbert, g] = initial_quotient_hilbert(P, g, N)
+                got[rational_sum_truncated, g] = rational_sum_truncated(Q, g, N)
+                if isinstance(recipe, BuildRecipe):
+                    got[duplication_product, g] = duplication_product(P, recipe, g, N)
+            got[koszul_inverse] = koszul_inverse(P, N)[0]
+            for case, series_ in got.items():
+                assert series_ == truncated(want[case], N), (P, N, case)
+
+    def test_small_posets(self, posets3, posets4, posets5):
+        for P in [P for n in (1, 2) for P in enumerate_posets(n)] + posets3 + posets4:
+            self._check(P, (0, 1, 4))
+        for P in posets5[::25]:
+            self._check(P, (3,))
+
+    def test_fixtures(self):
+        for P in FIXTURES:
+            self._check(P, (0, 1, 4, 6))
 
 
 class TestNuFromTheWalk:
@@ -860,11 +1043,12 @@ class TestFaceCount:
     """The t series from the faces of the flag complex against the walk
     over every multiset and the flavor test it replaced, in all three
     flavors and through both public entry points.  One walk up to the
-    deepest N serves every flavor and every shallower N."""
+    deepest N serves every flavor and every shallower N, and the posets
+    with n <= 5 are walked once per session (`conftest.t_walks`)."""
 
     @staticmethod
-    def _check(P, Ns):
-        walk = t_series_by_walk(P, max(Ns))
+    def _check(P, Ns, walks=t_series_by_walk):
+        walk = walks(P, max(Ns))
         for N in Ns:
             expect = {flavor: {k: c for k, c in coeffs.items() if k[0] <= N}
                       for flavor, coeffs in walk.items()}
@@ -872,13 +1056,11 @@ class TestFaceCount:
                 assert hilbert_truncated(P, flavor, "t", N).coeffs == expect[flavor], (P, flavor, N)
             assert initial_quotient_hilbert(P, "t", N).coeffs == expect["weak"], (P, N)
 
-    def test_every_small_poset(self, posets3, posets4, posets5):
+    def test_every_small_poset(self, posets_to5, t_walks):
         # N = 9 is above every face size when n <= 4: a face is a laminar
         # family, of at most 2n - 1 ideals
-        for P in [P for n in (1, 2) for P in enumerate_posets(n)] + posets3 + posets4:
-            self._check(P, (0, 1, 5, 9))
-        for P in posets5:
-            self._check(P, (0, 1, 3))
+        for P in posets_to5:
+            self._check(P, (0, 1, 5, 9) if P.n <= 4 else (0, 1, 3), t_walks)
 
     def test_random_posets(self):
         for P in random_posets(16, 40, (6, 7, 8)):
@@ -898,13 +1080,13 @@ class TestFaceCount:
         raise AssertionError("a face was walked")
         yield
 
-    def test_cover_bound_against_the_walk(self, monkeypatch, posets3, posets4, posets5):
+    def test_cover_bound_against_the_walk(self, monkeypatch, posets_to5, t_walks):
         # the face count is empty at once, walking no face, when the N ideals
         # that separate the most strict covers miss one; the walk oracle must
         # find no vector there
         monkeypatch.setattr(series, "_iter_trivial_multisets", self._no_walk)
         fired = 0
-        for P in [P for n in (1, 2) for P in enumerate_posets(n)] + posets3 + posets4 + posets5:
+        for P in posets_to5:
             deepest = {}  # flavor -> the largest N <= 4 at which the bound fires
             for flavor in FLAVORS:
                 strict = _strict_covers(P, flavor)
@@ -914,7 +1096,7 @@ class TestFaceCount:
                 if fires:
                     deepest[flavor] = max(fires)  # it fires at every smaller N too
             if deepest:
-                walk = t_series_by_walk(P, max(deepest.values()))
+                walk = t_walks(P, max(deepest.values()))
                 for flavor, N in deepest.items():
                     assert all(nu > N for nu, _ in walk[flavor]), (P, flavor, N)
                     for n in range(N + 1):
