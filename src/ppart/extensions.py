@@ -6,18 +6,26 @@ statistics of this package add at a descent a term that depends only on
 i and the prefix ideal.  So they can be summed over the states (ideal,
 last element) of the ideal lattice instead of over L(P) (Stanley,
 Ordered structures and partitions, 1972): see `fold_levels`.
+
+What must list L(P), `linear_extensions` here and the descent vectors
+of `presentation.semigroup_ideal`, joins two halves at a middle level k
+(`_halves`): the prefixes that list an ideal I of k elements and the
+suffixes that list its rest.  A descent at position k needs only the
+prefix's last element and the suffix's first, so each extension is one
+prefix plus one suffix, and neither half is rebuilt per extension.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import reduce
 from operator import add
 from typing import NamedTuple
 
 from .errors import ExplosionError
 from .partitions import delta_data
-from .poset import Poset, _collector_paused, hasse_components, mask_of, members
+from .poset import Poset, _collector_paused, _memoized, hasse_components, mask_of, members
 from .qpoly import QPolynomial
 
 DEFAULT_CAP = 10_000_000
@@ -50,58 +58,126 @@ def _check_cap(P: Poset, cap: int) -> None:
         raise ExplosionError(f"|L(P)| = {count} exceeds cap {cap}")
 
 
+# A linear extension's descent statistics summed into one int by
+# `_halves`: a descent at position i sets bit i - 1 of Des(w) and adds i
+# to maj and c_P of the prefix ideal to des_P.  Positions stay below
+# MAX_ELEMENTS = 64, and maj and des_P sum fewer than 64 numbers below
+# 64, so no field carries into the next.
+_MAJ, _DES_P = 64, 80
+_DES_SET = (1 << _MAJ) - 1
+_FIELD = (1 << (_DES_P - _MAJ)) - 1
+
+
+class _DescentSets(dict):
+    """Des(w) as a bitmask -> its positions as a tuple, one per mask."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        positions = self[mask] = tuple(members(mask))
+        return positions
+
+
 @_collector_paused
 def linear_extensions(P: Poset, cap: int = DEFAULT_CAP) -> list[LinearExtension]:
     """All linear extensions in lexicographic order of w, with statistics.
 
-    The prefixes are grown level by level, each by its next elements in
-    ascending order, so every level stays in lexicographic order.  A level
-    is freed prefix by prefix while the next one is built.  The moves out
-    of a prefix ideal, and the component count c_P it adds at a descent,
-    are found once per ideal.
+    Each is a prefix of `_halves` joined to a suffix of the ideal that
+    the prefix lists, with a descent at the junction when the prefix's
+    last element exceeds the suffix's first.  The prefixes are taken in
+    lexicographic order and the suffixes of each in lexicographic order,
+    so the records come out in order with no sort.  Equal descent sets
+    share one tuple.
     Raises ExplosionError when more than cap extensions exist.
     """
     _check_cap(P, cap)
-    # A prefix carries w and its descent set as bytes (labels and
-    # positions stay below MAX_ELEMENTS = 64 < 256), which the garbage
-    # collector does not track, so a prefix costs it one tuple.
-    moves = {}  # prefix ideal -> (its c_P, [(p, p as bytes, ideal + p)])
-    level = [(b"", 0, 0, b"", 0, 0)]  # (w, ideal, last, des, maj, des_p)
-    for i in range(P.n):
-        at = bytes((i,))
-        nxt = []
-        append = nxt.append
-        for w, ideal, last, des, maj, des_p in _drain(level):
-            found = moves.get(ideal)
-            if found is None:
-                found = moves[ideal] = (
-                    len(hasse_components(P, ideal)),
-                    [(p, bytes((p,)), ideal | (1 << (p - 1)))
-                     for p in P.minimal_elements(P.full_mask & ~ideal)],
-                )
-            c, steps = found
-            for p, byte, grown in steps:
-                if last > p:
-                    append((w + byte, grown, p, des + at, maj + i, des_p + c))
-                else:
-                    append((w + byte, grown, p, des, maj, des_p))
-        level = nxt
+
+    def weight(ideal):
+        i = ideal.bit_count()
+        return 1 << (i - 1) | i << _MAJ | len(hasse_components(P, ideal)) << _DES_P
+
+    prefixes, suffixes, weighed = _halves(P, weight)
+    for tails in suffixes.values():  # each suffix's sum split into its fields
+        tails[:] = [(first, u, s & _DES_SET, s >> _MAJ & _FIELD, s >> _DES_P)
+                    for first, u, s in tails]
     new = tuple.__new__  # skips the NamedTuple constructor's argument handling
-    des_sets = {}  # one tuple per distinct descent set
+    des_sets = _DescentSets()
     out = []
-    for w, _, _, des, maj, des_p in _drain(level):
-        des_set = des_sets.get(des)
-        if des_set is None:
-            des_set = des_sets[des] = tuple(des)
-        out.append(new(LinearExtension, (tuple(w), des_set, maj, des_p)))
+    for w, ideal, last, s in prefixes:
+        tails = suffixes[ideal]
+        cut = bisect_left(tails, (last,))  # the suffixes that begin below last
+        parts = ((tails[:cut], s + weighed(ideal)), (tails[cut:], s)) if cut else ((tails, s),)
+        for part, t in parts:
+            d, maj, des_p = t & _DES_SET, t >> _MAJ & _FIELD, t >> _DES_P
+            out += [new(LinearExtension, (w + u, des_sets[d | td], maj + tm, des_p + tc))
+                    for _, u, td, tm, tc in part]
     return out
 
 
-def _drain(items: list):
-    """The items in order, each removed from the list as it is yielded."""
-    items.reverse()
-    while items:
-        yield items.pop()
+def _halves(P: Poset, weight):
+    """Every linear extension of P cut at a middle level k into a prefix,
+    which lists an ideal I of k elements, and a suffix, which lists the
+    rest.  weight(J) is the int that a descent adds when J is the ideal
+    listed before it; each half carries the sum over its descents.
+
+    Returns (prefixes, suffixes, weighed).  prefixes is a list of
+    (w, I, last, sum) in lexicographic order of w, last being w's last
+    element (0 when w is empty).  suffixes maps each I to its suffixes u
+    as (first, u, sum) in lexicographic order of u, first being u's first
+    element (n + 1 when u is empty).  weighed is weight, memoized.  So
+    w + u is a linear extension, and its sum is the two halves' sums plus
+    weighed(I) when last > first.  The suffixes of I that begin below
+    last are the first bisect_left(suffixes[I], (last,)).
+
+    The prefixes grow from the empty one, each by its next elements p in
+    ascending order.  The suffixes of an ideal are built from those of the
+    ideals one element larger: p followed by each suffix of the ideal plus
+    p, for its next elements p in ascending order, so every suffix is
+    built once and shared by the ideals below it.  k is the (highest)
+    level whose prefixes and suffixes are fewest, counted first over the
+    ideal lattice: an ideal J has as many prefixes as there are chains from the
+    empty ideal to J, and as many suffixes as there are chains from J to P.
+    """
+    full = P.full_mask
+    moves = {}  # ideal -> [(p, ideal + p)] for p minimal in the rest
+    levels = [{0: 1}]  # the ideals of each size -> their number of prefixes
+    for _ in range(P.n):
+        nxt = {}
+        for ideal, count in levels[-1].items():
+            moves[ideal] = steps = [(p, ideal | 1 << (p - 1))
+                                    for p in P.minimal_elements(full & ~ideal)]
+            for _, grown in steps:
+                nxt[grown] = nxt.get(grown, 0) + count
+        levels.append(nxt)
+    rests = {full: 1}  # ideal -> its number of suffixes
+    sizes = [levels[-1][full] + 1]  # the prefixes and suffixes of each level, from the top
+    for level in reversed(levels[:-1]):
+        listed = 0
+        for ideal, count in level.items():
+            rest = 0
+            for _, grown in moves[ideal]:
+                rest += rests[grown]
+            rests[ideal] = rest
+            listed += count + rest
+        sizes.append(listed)
+    k = P.n - sizes.index(min(sizes))
+
+    weighed = _memoized(weight)
+    prefixes = [((), 0, 0, 0)]
+    for _ in range(k):
+        prefixes = [(w + (p,), grown, p, s + weighed(ideal) if last > p else s)
+                    for w, ideal, last, s in prefixes for p, grown in moves[ideal]]
+    suffixes = {full: [(P.n + 1, (), 0)]}
+    for level in reversed(levels[k:-1]):
+        above, suffixes = suffixes, {}
+        for ideal in level:
+            suffixes[ideal] = led = []
+            for p, grown in moves[ideal]:
+                tails = above[grown]
+                cut = bisect_left(tails, (p,))  # the suffixes that begin below p
+                if cut:
+                    s = weighed(grown)
+                    led += [(p, (p,) + u, t + s) for _, u, t in tails[:cut]]
+                led += [(p, (p,) + u, t) for _, u, t in tails[cut:]]
+    return prefixes, suffixes, weighed
 
 
 def fold_levels(P: Poset, start, step, merge, depth: int) -> dict:

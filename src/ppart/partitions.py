@@ -17,6 +17,7 @@ from operator import add, or_
 from .errors import ArgError, FlavorError
 from .poset import (
     Poset,
+    _memoized,
     hasse_components,
     ideal_key,
     is_naturally_labelled,
@@ -234,7 +235,7 @@ def enumerate_partitions(P: Poset, flavor: str, max_total: int):
     """All vectors of the given flavor with entry-sum <= max_total, in
     lexicographic order: the chains of level ideals of `_level_chains`."""
     fields = _Monomials(P.n, max_total)
-    mono = cache(lambda B: sum(fields.units[p - 1] for p in members(B)))
+    mono = _memoized(lambda B: sum(fields.units[p - 1] for p in members(B)))
     return sorted(fields.unpack(f)[1] for f in _level_chains(P, flavor, max_total, mono))
 
 

@@ -62,6 +62,21 @@ def _collector_paused(fn):
     return paused
 
 
+def _memoized(fn):
+    """fn of one hashable argument, each value computed once and kept in
+    a dict.  One closure, cheaper to build than `functools.cache`, for
+    the per-call memos of one poset's ideals; it forms no cycle."""
+    memo = {}
+
+    def memoized(key):
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = fn(key)
+        return found
+
+    return memoized
+
+
 def ideal_key(mask: int) -> tuple[int, int]:
     """Canonical sort key for ideal sets: cardinality, then mask value."""
     return (mask.bit_count(), mask)

@@ -6,11 +6,12 @@ computer-algebra export of all of it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ArgError
-from .extensions import DEFAULT_CAP, _check_cap, fold_extensions
+from .extensions import DEFAULT_CAP, _check_cap, _halves
 from .partitions import _multiset_vector, delta_data
 from .poset import PiPair, Poset, _collector_paused, connected_ideals, members, nontrivial_pairs
 
@@ -190,27 +191,34 @@ class SemigroupIdealData:
 @_collector_paused
 def semigroup_ideal(P: Poset, cap: int = DEFAULT_CAP) -> SemigroupIdealData:
     """The distinct descent vectors sum_{i in Des(w)} 1_{w[:i]} over L(P),
-    by `fold_extensions` over sets of partial vectors.
+    joined from the two halves of `_halves`.
 
     A vector is packed into one integer, a byte per entry with element 1
     in the most significant one, so adding the indicator of a prefix is
     one addition, integer order is the lexicographic order of vectors,
     and `int.to_bytes` unpacks it.  An entry counts descents, so it stays
-    below n <= MAX_ELEMENTS = 64 < 256.
+    below n <= MAX_ELEMENTS = 64 < 256.  The prefix vectors are gathered
+    into a set per (ideal, last element), and so are the vectors of the
+    ideal's suffixes, plus the ideal's indicator for those that begin
+    below last; the result is every sum of one of each.
     Raises ExplosionError when more than cap extensions exist."""
     _check_cap(P, cap)
     shift = [0] + [8 * (P.n - p) for p in range(1, P.n + 1)]
-    spread = {}  # prefix ideal -> its packed indicator vector
-
-    def step(vectors, ideal, descent):
-        if not descent:
-            return vectors
-        s = spread.get(ideal)
-        if s is None:
-            s = spread[ideal] = sum(1 << shift[p] for p in members(ideal))
-        return {v + s for v in vectors}
-
-    packed = fold_extensions(P, {0}, step, set.union)
+    prefixes, suffixes, weighed = _halves(
+        P, lambda ideal: sum(1 << shift[p] for p in members(ideal)))
+    heads = {}  # (ideal, last) -> its prefix vectors
+    for _, ideal, last, v in prefixes:
+        heads.setdefault((ideal, last), set()).add(v)
+    packed = set()
+    for (ideal, last), vectors in heads.items():
+        tails = suffixes[ideal]
+        cut = bisect_left(tails, (last,))  # the suffixes that begin below last
+        ends = {v for _, _, v in tails[cut:]}
+        if cut:
+            junction = weighed(ideal)
+            ends.update([v + junction for _, _, v in tails[:cut]])
+        for a in vectors:
+            packed.update([a + b for b in ends])
     gens = tuple(tuple(v.to_bytes(P.n, "big")) for v in sorted(packed))
     data = delta_data(P)
     principal = data.delta if data.satisfies_labelled_condition else None

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import cache, reduce
+from functools import reduce
 from operator import or_
 
 from .errors import ArgError, CapError, InstabilityError, LabelError, NotFWDError
@@ -41,6 +41,7 @@ from .partitions import (
 )
 from .poset import (
     Poset,
+    _memoized,
     clashes,
     connected_ideals,
     hasse_components,
@@ -295,8 +296,8 @@ def _graded(P: Poset, grading: str, N: int):
     out, codec = TruncSeries(nx, N, has_t, xnames=xnames), _Monomials(nx, N)
     # x^I is the product of an x per element of I: its own for x, the q for q, 1 for t
     unit = codec.units if xnames is None else (sum(codec.units),) * P.n
-    mono = cache(lambda I: (len(hasse_components(P, I)) << codec.top if has_t else 0)
-                 + sum(unit[p - 1] for p in members(I)))
+    mono = _memoized(lambda I: (len(hasse_components(P, I)) << codec.top if has_t else 0)
+                     + sum(unit[p - 1] for p in members(I)))
     return out, codec, mono
 
 

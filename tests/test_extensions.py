@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -23,9 +24,20 @@ from ppart import (
     rational_sum_truncated,
     semigroup_ideal,
 )
-from ppart.extensions import _count_by_ideals, maj_coefficients
+from ppart.extensions import _count_by_ideals, _halves, maj_coefficients
 from ppart.fixtures import EX33, FIG1, P1, P2
 from ppart.partitions import _multiset_vector
+
+
+BIPARTITE44 = Poset(8, [(a, b) for a in (1, 2, 3, 4) for b in (5, 6, 7, 8)])
+
+ANTICHAIN8 = Poset(8)
+CLAW9 = Poset(9, [(1, k) for k in range(2, 10)])
+
+# shapes whose halves differ in kind: one ideal per level, 720 to 40,320
+# extensions with many ideals per level, and a middle level of one ideal
+SHAPES = [Poset(6, [(k, k + 1) for k in range(1, 6)]), Poset(6), Poset(7), ANTICHAIN8, CLAW9,
+          BIPARTITE44]
 
 
 class TestEnumeration:
@@ -61,15 +73,29 @@ class TestEnumeration:
         with pytest.raises(ExplosionError, match=r"^\|L\(P\)\| = 720 exceeds cap 100$"):
             linear_extensions(Poset(6, []), cap=100)
 
-    def test_matches_recursive_listing(self, posets3, posets4, posets5):
-        for P in posets3 + posets4 + posets5 + random_posets(53, 40, (6, 7, 8)):
+    def test_matches_recursive_listing(self, posets_to5):
+        # n = 1 and 2 leave one half empty, so no descent may fall at position n
+        for P in posets_to5 + random_posets(53, 40, (6, 7, 8)) + SHAPES:
             got = [(e.w, e.des_set, e.maj, e.des_p) for e in linear_extensions(P)]
             assert got == _extensions_by_recursion(P), P
 
+    def test_the_halves_meet_at_a_single_ideal(self):
+        # the prefixes all list {1, 2, 3, 4} and the suffixes its rest
+        prefixes, suffixes, _ = _halves(BIPARTITE44, lambda ideal: 0)
+        assert list(suffixes) == [0b1111]
+        assert (len(prefixes), len(suffixes[0b1111])) == (24, 24)
 
+    def test_descent_sets_are_shared(self):
+        for P in [FIG1, *SHAPES, *random_posets(59, 10, (7, 8))]:
+            exts = linear_extensions(P)
+            assert len({id(e.des_set) for e in exts}) == len({e.des_set for e in exts}), P
+
+
+@functools.cache
 def _extensions_by_recursion(P):
     """(w, Des(w), maj, des_P) over L(P) in lexicographic order of w, by
-    extending a prefix with each minimal element of the rest in turn."""
+    extending a prefix with each minimal element of the rest in turn.
+    Kept per poset: callers must not change the list."""
     out = []
     w = []
 
@@ -157,7 +183,7 @@ class TestMajPolynomial:
 
 
 def _words(P):
-    return [e.w for e in linear_extensions(P)]
+    return [w for w, _, _, _ in _extensions_by_recursion(P)]
 
 
 def _descents(w):
@@ -230,7 +256,8 @@ class TestFoldOracle:
                 assert maj_coefficients(P, N) == want, (P, N)
 
     def test_semigroup_generators(self, small, random_sample):
-        for P in small + random_sample:
+        # the 8-antichain and the 9-claw have 40,320 generators each
+        for P in small + random_sample + [ANTICHAIN8, CLAW9]:
             assert semigroup_ideal(P).generators == _descent_vectors_by_enumeration(P), P
 
     def test_des_p(self, small, random_sample):
