@@ -5,6 +5,12 @@ to stdout, and maps failures to exit codes: 1 usage, 2 input or output
 (`errors.InputError`, OSError), 4 size cap (`errors.CapError`), 3 any
 other `errors.PPartError`.  Timing goes to stderr so stdout stays
 byte-stable.
+
+Stdout is byte for byte `json.dumps(doc, indent=2, sort_keys=True) + "\\n"`,
+written in pieces by `_emit`: with `indent`, json encodes in pure Python
+and writes once per token, so `_json` builds the same text from json's
+C string escaper, `int.__repr__` and joins, and `_write` sends it out a
+member at a time where a document or a listing is large.
 """
 
 from __future__ import annotations
@@ -57,6 +63,70 @@ def _load(path):
     return parse_poset(text), digest
 
 
+_escape = json.encoder.encode_basestring_ascii  # json's own, under ensure_ascii
+_FLAT = {int: int.__repr__, str: _escape}  # list items written by one C-level map
+_LONG = 1000  # more members than this are written one by one at any depth
+
+
+def _json(o, pad):
+    """o as `json.dumps(o, indent=2, sort_keys=True)` writes it, with pad
+    ("\\n" and the indentation of o's line) at the start of each line after
+    the first.  Exact types only: anything else, a float, a dict with a
+    non-str key, or a subclass such as a NamedTuple or an IntEnum, is left
+    to json itself.  Its text holds no raw newline, since a string escapes
+    its own, so re-indenting it is one replace."""
+    t = type(o)
+    if t is str:
+        return _escape(o)
+    if t is int:
+        return int.__repr__(o)
+    if o is None:
+        return "null"
+    if t is bool:
+        return "true" if o else "false"
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        kinds = {*map(type, o)}
+        flat = _FLAT.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(flat, o) if flat else [_json(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if t is dict:
+        if not o:
+            return "{}"
+        if {*map(type, o)} == {str}:
+            inner = pad + "  "
+            return "{" + inner + ("," + inner).join(
+                [_escape(k) + ": " + _json(v, inner) for k, v in sorted(o.items())]
+            ) + pad + "}"
+    return json.dumps(o, indent=2, sort_keys=True).replace("\n", pad)
+
+
+def _write(write, o, pad, depth):
+    """Write _json(o, pad) in pieces: a non-empty list, tuple or dict with
+    str keys writes each member on its own down to depth levels, and
+    below them when it has more than _LONG members, so the whole text of
+    a large document or listing is never held at once."""
+    t = type(o)
+    members = None
+    if (t is list or t is tuple or t is dict) and o and (depth > 0 or len(o) > _LONG):
+        if t is not dict:
+            brackets, members = "[]", (("", v) for v in o)
+        elif {*map(type, o)} == {str}:
+            brackets, members = "{}", [(_escape(k) + ": ", v) for k, v in sorted(o.items())]
+    if members is None:
+        write(_json(o, pad))
+        return
+    inner = pad + "  "
+    opening = brackets[0]
+    for key, v in members:
+        write(opening + inner + key)
+        _write(write, v, inner, depth - 1)
+        opening = ","
+    write(pad + brackets[1])
+
+
 def _emit(command, digest, payload):
     doc = {
         "schema": SCHEMA,
@@ -64,27 +134,23 @@ def _emit(command, digest, payload):
         "input_sha256": digest,
         "results": payload,
     }
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+    _write(sys.stdout.write, doc, "\n", 3)  # down to each member of a result
     sys.stdout.write("\n")
     sys.stdout.flush()  # a closed stdout fails here, inside main's error mapping
-
-
-def _qpoly_json(poly):
-    return list(poly.coeffs)
 
 
 def _cmd_analyze(P, args):
     dd = delta_data(P)
     return {
         "n": P.n,
-        "covers": [list(c) for c in sorted(P.covers)],
+        "covers": sorted(P.covers),
         "ideal_count": count_ideals(P),
         "connected_ideals": [members(J) for J in connected_ideals(P)],
         "nontrivial_pairs": [
             [members(p.j1), members(p.j2)] for p in nontrivial_pairs(P)
         ],
         "naturally_labelled": is_naturally_labelled(P),
-        "delta": list(dd.delta),
+        "delta": dd.delta,
         "delta_chain_condition": dd.satisfies_labelled_condition,
         "maj_p": dd.maj_p,
         "ci_counts": ci_test_counts(P),
@@ -95,13 +161,13 @@ def _cmd_analyze(P, args):
 def _cmd_extensions(P, args):
     out = {
         "count": count_extensions(P),
-        "maj_polynomial": _qpoly_json(maj_polynomial(P, cap=args.cap)),
+        "maj_polynomial": maj_polynomial(P, cap=args.cap).coeffs,
     }
     if args.list:
         out["extensions"] = [
             {
-                "w": list(e.w),
-                "des": list(e.des_set),
+                "w": e.w,
+                "des": e.des_set,
                 "maj": e.maj,
                 "des_p": e.des_p,
             }
@@ -124,7 +190,7 @@ def _cmd_classify(P, args):
 def _cmd_hook(P, args):
     out = {"count": hook_count(P)}
     if is_naturally_labelled(P):
-        out["q_polynomial"] = _qpoly_json(hook_formula(P))
+        out["q_polynomial"] = hook_formula(P).coeffs
     else:
         out["q_polynomial"] = None
     return out
@@ -158,8 +224,8 @@ def _cmd_presentation(P, args):
         "graded_iso": pres.graded_iso,
         "hibi": hibi_check(P),
         "semigroup": {
-            "generators": [list(g) for g in sg.generators],
-            "principal": list(sg.principal) if sg.principal is not None else None,
+            "generators": sg.generators,
+            "principal": sg.principal,
         },
     }
 
@@ -168,7 +234,7 @@ def _cmd_complex(P, args):
     report = forest_consistency(P, cap=args.complex_cap)
     return {
         "complex": report.complex.to_json(),
-        "p_forests": [list(parent) for parent, _ in report.terms],
+        "p_forests": [parent for parent, _ in report.terms],
         "consistency": report.to_json(),
     }
 

@@ -51,9 +51,8 @@ class LinearExtension(NamedTuple):
         return mask_of(self.w[:i])
 
 
-def _check_cap(P: Poset, cap: int) -> None:
-    """Raise ExplosionError when P has more than cap linear extensions."""
-    count = count_extensions(P)
+def _check_cap(count: int, cap: int) -> None:
+    """Raise ExplosionError when |L(P)| = count exceeds cap."""
     if count > cap:
         raise ExplosionError(f"|L(P)| = {count} exceeds cap {cap}")
 
@@ -88,13 +87,12 @@ def linear_extensions(P: Poset, cap: int = DEFAULT_CAP) -> list[LinearExtension]
     share one tuple.
     Raises ExplosionError when more than cap extensions exist.
     """
-    _check_cap(P, cap)
 
     def weight(ideal):
         i = ideal.bit_count()
         return 1 << (i - 1) | i << _MAJ | len(hasse_components(P, ideal)) << _DES_P
 
-    prefixes, suffixes, weighed = _halves(P, weight)
+    prefixes, suffixes, weighed = _halves(P, weight, cap)
     for tails in suffixes.values():  # each suffix's sum split into its fields
         tails[:] = [(first, u, s & _DES_SET, s >> _MAJ & _FIELD, s >> _DES_P)
                     for first, u, s in tails]
@@ -112,7 +110,7 @@ def linear_extensions(P: Poset, cap: int = DEFAULT_CAP) -> list[LinearExtension]
     return out
 
 
-def _halves(P: Poset, weight):
+def _halves(P: Poset, weight, cap: int):
     """Every linear extension of P cut at a middle level k into a prefix,
     which lists an ideal I of k elements, and a suffix, which lists the
     rest.  weight(J) is the int that a descent adds when J is the ideal
@@ -135,7 +133,18 @@ def _halves(P: Poset, weight):
     level whose prefixes and suffixes are fewest, counted first over the
     ideal lattice: an ideal J has as many prefixes as there are chains from the
     empty ideal to J, and as many suffixes as there are chains from J to P.
+
+    The walk counts the prefixes of each level as it goes, so under the
+    cap no second count of L(P) is made.  Each prefix begins at least one
+    extension, so once the prefixes of one level outnumber cap, so does
+    L(P): ExplosionError is raised there, before either half is built,
+    after the walk is dropped and |L(P)| counted for the message by
+    `count_extensions`.  A forest or its dual is counted by its hooks
+    before any walk.
     """
+    hooks = _hook_count(P)
+    if hooks is not None:
+        _check_cap(hooks, cap)
     full = P.full_mask
     moves = {}  # ideal -> [(p, ideal + p)] for p minimal in the rest
     levels = [{0: 1}]  # the ideals of each size -> their number of prefixes
@@ -147,6 +156,10 @@ def _halves(P: Poset, weight):
             for _, grown in steps:
                 nxt[grown] = nxt.get(grown, 0) + count
         levels.append(nxt)
+        if sum(nxt.values()) > cap:  # so |L(P)| > cap: count it without the walk
+            moves.clear()
+            levels.clear()
+            _check_cap(count_extensions(P), cap)
     rests = {full: 1}  # ideal -> its number of suffixes
     sizes = [levels[-1][full] + 1]  # the prefixes and suffixes of each level, from the top
     for level in reversed(levels[:-1]):
@@ -230,12 +243,19 @@ def count_extensions(P: Poset) -> int:
     when every element has at most one lower cover, dually n!/prod |up x|.
     Any other poset is counted by dynamic programming over the ideal
     lattice (`_count_by_ideals`)."""
+    count = _hook_count(P)
+    return _count_by_ideals(P) if count is None else count
+
+
+def _hook_count(P: Poset) -> int | None:
+    """|L(P)| by the hook length formula when P or its dual is a forest,
+    else None."""
     if len({a for a, _ in P.covers}) == len(P.covers):
         strict = P.down_strict
     elif len({b for _, b in P.covers}) == len(P.covers):
         strict = P.up_strict
     else:
-        return _count_by_ideals(P)
+        return None
     hooks = math.prod(strict(x).bit_count() + 1 for x in range(1, P.n + 1))
     return math.factorial(P.n) // hooks
 
@@ -263,7 +283,7 @@ def maj_polynomial(P: Poset, cap: int = DEFAULT_CAP) -> QPolynomial:
     maj, n(n-1)/2.
 
     Raises ExplosionError when more than cap extensions exist."""
-    _check_cap(P, cap)
+    _check_cap(count_extensions(P), cap)
     return QPolynomial(tuple(maj_coefficients(P, P.n * (P.n - 1) // 2)))
 
 

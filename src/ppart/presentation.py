@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ArgError
-from .extensions import DEFAULT_CAP, _check_cap, _halves
+from .extensions import DEFAULT_CAP, _halves
 from .partitions import _multiset_vector, delta_data
 from .poset import PiPair, Poset, _collector_paused, connected_ideals, members, nontrivial_pairs
 
@@ -202,10 +202,9 @@ def semigroup_ideal(P: Poset, cap: int = DEFAULT_CAP) -> SemigroupIdealData:
     ideal's suffixes, plus the ideal's indicator for those that begin
     below last; the result is every sum of one of each.
     Raises ExplosionError when more than cap extensions exist."""
-    _check_cap(P, cap)
     shift = [0] + [8 * (P.n - p) for p in range(1, P.n + 1)]
     prefixes, suffixes, weighed = _halves(
-        P, lambda ideal: sum(1 << shift[p] for p in members(ideal)))
+        P, lambda ideal: sum(1 << shift[p] for p in members(ideal)), cap)
     heads = {}  # (ideal, last) -> its prefix vectors
     for _, ideal, last, v in prefixes:
         heads.setdefault((ideal, last), set()).add(v)

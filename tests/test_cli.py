@@ -1,11 +1,16 @@
 import argparse
+import enum
+import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import time
 from collections import Counter
+from contextlib import redirect_stdout
+from typing import NamedTuple
 
 import pytest
 
@@ -406,3 +411,77 @@ class TestGolden:
     def test_repeat_run_is_identical(self):
         argv = ["analyze", EX33]
         assert capture(argv) == capture(argv)
+
+    def test_golden_is_json_output(self):
+        # the goldens hold json's own encoding, so they check the writer
+        # rather than repeat what it wrote
+        for command, fixture, _ in iter_cases():
+            doc = json.loads((GOLDEN / case_name(command, fixture)).read_text())
+            stdout = doc["stdout"]
+            if stdout or doc["exit"] == 0:
+                assert stdout == json.dumps(json.loads(stdout), indent=2, sort_keys=True) + "\n", (
+                    command, fixture)
+
+
+class _Pair(NamedTuple):
+    left: object
+    right: object
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = -7
+
+
+class TestWriter:
+    """The writer of cli._emit against json.dumps(doc, indent=2,
+    sort_keys=True) on seeded random documents."""
+
+    SCALARS = [
+        0, 1, -1, 2 ** 64, -(3 ** 45), True, False, None,
+        0.0, -0.0, 1.5, -2.25e-300, 1e300, float("inf"), float("-inf"), float("nan"),
+        "", "plain", "\u00e9t\u00e9 \u2264 \U0001d4ab", "tab\tnew\nline\x00\x1f\x7f",
+        'quote " and \\ backslash', _Level.LOW, _Level.HIGH,
+    ]
+
+    def _value(self, rng, depth):
+        r = rng.random()
+        if depth == 0 or r < 0.35:
+            if rng.random() < 0.3:  # a fresh int or string
+                return rng.choice([rng.randrange(-10 ** 30, 10 ** 30),
+                                   "".join(map(chr, rng.sample(range(1, 0x3000), 3)))])
+            return rng.choice(self.SCALARS)
+        if r < 0.45:  # one kind of item, written by the C-level map where it is int or str
+            kind = rng.choice([int, str, bool])
+            return [kind(rng.randrange(3)) for _ in range(rng.randrange(6))]
+        items = [self._value(rng, depth - 1) for _ in range(rng.randrange(5))]
+        if r < 0.6:
+            return items
+        if r < 0.7:
+            return tuple(items)
+        if r < 0.75:
+            return _Pair(*(items + [None, None])[:2])
+        if r < 0.8:  # non-str keys, left to json
+            return {rng.randrange(-50, 50): v for v in items}
+        return self._dict(rng, depth)
+
+    def _dict(self, rng, depth):
+        keys = ["a", "B", "z", "\u00e9", "k\n", "", "10", "9"]
+        return {rng.choice(keys): self._value(rng, depth - 1) for _ in range(rng.randrange(6))}
+
+    # with _LONG = 2, every container below the streamed levels that has
+    # more than two members is written member by member too
+    @pytest.mark.parametrize("long", [None, 2], ids=["long-as-is", "long-2"])
+    def test_matches_json(self, long, monkeypatch):
+        if long:
+            monkeypatch.setattr(cli, "_LONG", long)
+        rng = random.Random(73)
+        for _ in range(1500):
+            payload = self._dict(rng, 7) if rng.random() < 0.8 else self._value(rng, 7)
+            doc = {"schema": cli.SCHEMA, "command": "c", "input_sha256": "0", "results": payload}
+            want = json.dumps(doc, indent=2, sort_keys=True)
+            assert cli._json(doc, "\n") == want
+            out = io.StringIO()
+            with redirect_stdout(out):
+                cli._emit("c", "0", payload)
+            assert out.getvalue() == want + "\n"

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,7 +25,7 @@ from ppart import (
     rational_sum_truncated,
     semigroup_ideal,
 )
-from ppart.extensions import _count_by_ideals, _halves, maj_coefficients
+from ppart.extensions import DEFAULT_CAP, _count_by_ideals, _halves, maj_coefficients
 from ppart.fixtures import EX33, FIG1, P1, P2
 from ppart.partitions import _multiset_vector
 
@@ -81,7 +82,7 @@ class TestEnumeration:
 
     def test_the_halves_meet_at_a_single_ideal(self):
         # the prefixes all list {1, 2, 3, 4} and the suffixes its rest
-        prefixes, suffixes, _ = _halves(BIPARTITE44, lambda ideal: 0)
+        prefixes, suffixes, _ = _halves(BIPARTITE44, lambda ideal: 0, DEFAULT_CAP)
         assert list(suffixes) == [0b1111]
         assert (len(prefixes), len(suffixes[0b1111])) == (24, 24)
 
@@ -296,6 +297,45 @@ class TestFoldOracle:
             with pytest.raises(ExplosionError, match="= 300 exceeds cap 299"):
                 fn(FIG1, cap=299)
             fn(FIG1, cap=300)
+
+    def test_a_capped_non_forest_builds_no_half(self, monkeypatch):
+        # FIG1 is no forest; the halves are built from the memoized
+        # weight on, so only after the cap
+        def unreachable(*args):
+            raise AssertionError("built a half past the cap")
+
+        monkeypatch.setattr(ppart.extensions, "_memoized", unreachable)
+        for fn in (semigroup_ideal, linear_extensions):
+            with pytest.raises(ExplosionError, match=r"^\|L\(P\)\| = 300 exceeds cap 299$"):
+                fn(FIG1, cap=299)
+
+    def test_an_uncapped_non_forest_is_counted_once(self, monkeypatch):
+        # |L(P)| under the cap is the halves' own forward count
+        want = (linear_extensions(FIG1), semigroup_ideal(FIG1))
+
+        def unreachable(*args):
+            raise AssertionError("counted L(P) a second time")
+
+        monkeypatch.setattr(ppart.extensions, "_count_by_ideals", unreachable)
+        assert (linear_extensions(FIG1, cap=300), semigroup_ideal(FIG1, cap=300)) == want
+
+    def test_a_capped_walk_stops_at_the_cap(self):
+        # a non-forest with 2,048 ideals: its 91 prefixes of two elements
+        # outnumber the cap, so the halves' walk stops there and the error
+        # holds no more than the count's own walk (6.4 times as much if
+        # the halves' walk ran to the top)
+        P = Poset(12, [(1, 3), (2, 3), (1, 4)])
+        tracemalloc.start()
+        try:
+            count_extensions(P)
+            counted = tracemalloc.get_traced_memory()[1]
+            for fn in (semigroup_ideal, linear_extensions):
+                tracemalloc.reset_peak()
+                with pytest.raises(ExplosionError, match=r"^\|L\(P\)\| = 99792000 exceeds cap 10$"):
+                    fn(P, cap=10)
+                assert tracemalloc.get_traced_memory()[1] < 1.5 * counted, fn
+        finally:
+            tracemalloc.stop()
 
     def test_maj_at_scale(self):
         assert maj_polynomial(Poset(10, [])) == q_factorial(10)
