@@ -51,10 +51,10 @@ class LinearExtension(NamedTuple):
         return mask_of(self.w[:i])
 
 
-def _check_cap(count: int, cap: int) -> None:
-    """Raise ExplosionError when |L(P)| = count exceeds cap."""
+def _check_cap(count: int, cap: int, relation: str = "=") -> None:
+    """Raise ExplosionError, naming |L(P)| relation count, if count > cap."""
     if count > cap:
-        raise ExplosionError(f"|L(P)| = {count} exceeds cap {cap}")
+        raise ExplosionError(f"|L(P)| {relation} {count} exceeds cap {cap}")
 
 
 # A linear extension's descent statistics summed into one int by
@@ -138,9 +138,8 @@ def _halves(P: Poset, weight, cap: int):
     cap no second count of L(P) is made.  Each prefix begins at least one
     extension, so once the prefixes of one level outnumber cap, so does
     L(P): ExplosionError is raised there, before either half is built,
-    after the walk is dropped and |L(P)| counted for the message by
-    `count_extensions`.  A forest or its dual is counted by its hooks
-    before any walk.
+    with that count as a lower bound (exact from level n - 1 on).
+    A forest or its dual is counted by its hooks before any walk.
     """
     hooks = _hook_count(P)
     if hooks is not None:
@@ -156,10 +155,7 @@ def _halves(P: Poset, weight, cap: int):
             for _, grown in steps:
                 nxt[grown] = nxt.get(grown, 0) + count
         levels.append(nxt)
-        if sum(nxt.values()) > cap:  # so |L(P)| > cap: count it without the walk
-            moves.clear()
-            levels.clear()
-            _check_cap(count_extensions(P), cap)
+        _check_cap(sum(nxt.values()), cap, "=" if len(levels) >= P.n else ">=")
     rests = {full: 1}  # ideal -> its number of suffixes
     sizes = [levels[-1][full] + 1]  # the prefixes and suffixes of each level, from the top
     for level in reversed(levels[:-1]):
@@ -229,10 +225,17 @@ def fold_levels(P: Poset, start, step, merge, depth: int) -> dict:
     return level
 
 
-def fold_extensions(P: Poset, start, step, merge):
+def fold_extensions(P: Poset, start, step, merge, depth: int):
     """Fold a value along every linear extension of P at once: the merged
-    value of the full ideal after `fold_levels` over all n levels."""
-    return reduce(merge, fold_levels(P, start, step, merge, P.n)[P.full_mask].values())
+    value of the states (I, last) of `fold_levels` at |I| = depth with
+    labels 1..last in I, so that the rest R in increasing label order
+    begins above last (None if none).  At depth n, R is empty.  Below n,
+    the step must drop a value at a descent past depth and keep it
+    elsewhere, and R so listed must be a linear extension, the state's one
+    completion (as on a naturally labelled P)."""
+    counted = [v for ideal, states in fold_levels(P, start, step, merge, depth).items()
+               for last, v in states.items() if not ~ideal & ((1 << last) - 1)]
+    return reduce(merge, counted) if counted else None
 
 
 def count_extensions(P: Poset) -> int:
@@ -299,13 +302,11 @@ def maj_coefficients(P: Poset, N: int) -> list[int]:
     every a in R: each label-decreasing cover on a chain up from a puts a
     descent between its two ends.
 
-    A descent past position N adds more than N, so the walk stops at
-    |I| = N + 1.  A state kept there has delta 0 on its rest R (else it
-    was dropped at |I| = N), so no cover in R falls in label and R in
-    increasing label order is a linear extension: the state's one
-    descent-free completion, which counts if it begins above last.  No
-    cap applies, since no extension is listed and at most the ideals of
-    up to N + 1 elements are visited."""
+    A descent past position N adds more than N, so `fold_extensions`
+    stops at |I| = N + 1.  A state kept there has delta 0 on its rest R
+    (else it was dropped at |I| = N), so no cover in R falls in label and
+    R in increasing label order is a linear extension.  No cap applies:
+    no extension is listed, and no ideal of over N + 1 elements visited."""
     size = N + 1
     prune = N < P.n * (P.n - 1) // 2  # else no state can be dropped
     delta = (0,) + delta_data(P).delta if prune else ()
@@ -329,11 +330,4 @@ def maj_coefficients(P: Poset, N: int) -> list[int]:
     def merge(a, b):
         return list(map(add, a, b))
 
-    total = [0] * size
-    for ideal, states in fold_levels(P, [1] + [0] * N, step, merge, min(P.n, size)).items():
-        rest = P.full_mask & ~ideal
-        first = (rest & -rest).bit_length() or P.n + 1  # P.n + 1 when rest is empty
-        for last, coeffs in states.items():
-            if last < first:
-                total = merge(total, coeffs)
-    return total
+    return fold_extensions(P, [1] + [0] * N, step, merge, min(P.n, size)) or [0] * size

@@ -120,19 +120,18 @@ class TruncSeries:
         if (self.nx, self.has_t, self.trunc) != (other.nx, other.has_t, other.trunc):
             raise ArgError("series have incompatible shapes")
 
-    def _buckets(self):
-        """The codec, and the terms within the truncation packed, by degree."""
-        buckets, codec = {}, _Monomials(self.nx, self.trunc)
-        for (t, xs), c in self.coeffs.items():
-            if (d := sum(xs) if xs else t) <= self.trunc:
-                buckets.setdefault(d, []).append((codec.pack(t, xs), c))
-        return codec, buckets
+    def _packed(self):
+        """The codec, and the terms within the truncation packed."""
+        codec = _Monomials(self.nx, self.trunc)
+        return codec, {codec.pack(t, xs): c for (t, xs), c in self.coeffs.items()
+                       if (sum(xs) if xs else t) <= self.trunc}
 
     def __mul__(self, other):
         """Only bucket pairs whose degrees add up to at most trunc are
         multiplied, so no product term is built and then dropped."""
         self._compatible(other)
-        (codec, a), (_, b), acc = self._buckets(), other._buckets(), {}
+        (codec, a), (_, b), acc = self._packed(), other._packed(), {}
+        a, b = _buckets(a, codec), _buckets(b, codec)
         for da, terms in a.items():
             for db, other_terms in b.items():
                 if da + db <= self.trunc:
@@ -150,29 +149,10 @@ class TruncSeries:
         return self.coeffs.get((0, (0,) * self.nx), 0)
 
     def inverse(self):
-        """Multiplicative inverse up to the truncation order.
-
-        The constant term must be 1 or -1, and every other monomial must
-        have positive truncated degree (otherwise powers never die out).
-        The inverse b of a = c0 + a_1 + a_2 + ..., split by degree, is
-        found one degree at a time: b_0 = c0 and
-        b_d = -c0 * sum_{k=1..d} a_k b_{d-k} (Knuth, TAOCP vol. 2, 4.7).
-        """
-        c0 = self.constant_term()
-        if c0 not in (1, -1):
-            raise ArgError("inverse needs constant term +-1")
-        codec, a = self._buckets()
-        if len(a[0]) > 1:
-            raise ArgError("inverse needs positive degree on nonconstant terms")
-        b = [a[0]]
-        for d in range(1, self.trunc + 1):
-            acc = {}
-            for k in range(1, d + 1):
-                if k in a:
-                    _mul_into(acc, a[k], b[d - k])
-            b.append([(m, -c0 * c) for m, c in acc.items() if c])
+        """Multiplicative inverse up to the truncation order (`_inverse`)."""
+        codec, a = self._packed()
         out = self._like()
-        out.coeffs = codec.unpacked({m: c for terms in b for m, c in terms})
+        out.coeffs = codec.unpacked(_inverse(a, codec))
         return out
 
     def substitute_neg_t(self):
@@ -230,6 +210,36 @@ class TruncSeries:
             else:
                 chunks.append(("+ " if c > 0 else "- ") + body)
         return " ".join(chunks)
+
+
+def _buckets(c, codec):
+    """The terms of c within the truncation, {degree: [(monomial, coeff)]}."""
+    buckets = {}
+    for m, v in c.items():
+        if (d := m >> codec.shift & codec.mask) <= codec.trunc:
+            buckets.setdefault(d, []).append((m, v))
+    return buckets
+
+
+def _inverse(c, codec):
+    """The inverse of c, a dict packed monomial -> coefficient, up to the
+    truncation.  The constant term must be 1 or -1, and every other
+    monomial must have positive degree (otherwise powers never die out).
+    The inverse b of a = c0 + a_1 + a_2 + ..., split by degree, is found
+    one degree at a time: b_0 = c0 and b_d = -c0 * sum_{k=1..d} a_k b_{d-k}
+    (Knuth, TAOCP vol. 2, 4.7)."""
+    if (c0 := c.get(0, 0)) not in (1, -1):
+        raise ArgError("inverse needs constant term +-1")
+    a = _buckets(c, codec)
+    if len(a[0]) > 1:
+        raise ArgError("inverse needs positive degree on nonconstant terms")
+    b = [a[0]]
+    for d in range(1, codec.trunc + 1):
+        acc = {}
+        for k in range(1, d + 1):
+            _mul_into(acc, a.get(k, ()), b[d - k])
+        b.append([(m, -c0 * c) for m, c in acc.items() if c])
+    return {m: c for terms in b for m, c in terms}
 
 
 def _mul_into(acc, terms_a, terms_b):
@@ -420,7 +430,9 @@ def rational_sum_truncated(P: Poset, grading: str, N: int) -> TruncSeries:
     `fold_extensions`, not over L(P); the last factor, of the full
     ideal, is common to all extensions.  The fold carries coefficient
     dicts, and a factor divides by 1 - m in place, m = t^c x^J for the
-    prefix, after a shift by m at a descent."""
+    prefix, after a shift by m at a descent.  With x variables, past |J| = N
+    a factor is 1 and a descent drops the term, so the fold stops at depth
+    N + 1; the t grading, truncated by t degree, folds all n levels."""
     if not is_naturally_labelled(P):
         raise LabelError("rational sum needs a naturally labelled poset")
     out, codec, mono = _graded(P, grading, N)
@@ -430,7 +442,8 @@ def rational_sum_truncated(P: Poset, grading: str, N: int) -> TruncSeries:
 
     # every factor has nonnegative coefficients, so no sum cancels to zero
     total = fold_extensions(P, {0: 1}, step,
-                            lambda a, b: {**a, **{k: a.get(k, 0) + v for k, v in b.items()}})
+                            lambda a, b: {**a, **{k: a.get(k, 0) + v for k, v in b.items()}},
+                            min(P.n, N + 1) if out.nx else P.n)
     out.coeffs = codec.unpacked(_over_one_minus(total, mono(P.full_mask), codec))
     return out
 
@@ -574,7 +587,10 @@ def koszul_inverse(P: Poset, N: int = DEFAULT_TRUNC):
     """Invert Hilb(gr R_P, -t, x) up to degree N.
 
     Returns (series, nonnegative) where nonnegative reports whether every
-    coefficient of the inverse is >= 0."""
-    h = hilbert_truncated(P, WEAK, "tx", N)
-    inv = h.substitute_neg_t().inverse()
-    return inv, inv.is_nonnegative()
+    coefficient of the inverse is >= 0.  The weak (t,x) walk's packed
+    terms of odd t degree are negated in place, and only the inverse is unpacked."""
+    out, codec, mono = _graded(P, "tx", N)
+    h = Counter(_level_chains(P, WEAK, N, mono))
+    h.subtract({m: 2 * c for m, c in h.items() if m >> codec.top & 1})  # t -> -t
+    out.coeffs = codec.unpacked(_inverse(h, codec))
+    return out, out.is_nonnegative()

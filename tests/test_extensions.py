@@ -273,22 +273,27 @@ class TestFoldOracle:
 
     @pytest.fixture(scope="class")
     def tx_sums(self):
-        """P -> the (t,x) sum over L(P) at N = 3, enumerated once for every
-        grading with an x variable: the x, q and (t,q) sums are its
-        specializations, which commute with products and inverses."""
+        """P -> the (t,x) sum over L(P) at P's deepest N, enumerated once
+        for every grading with an x variable: the x, q and (t,q) sums are
+        its specializations, which commute with products and inverses."""
         return {}
 
     @pytest.mark.parametrize("grading", ["x", "tx", "q", "tq", "t"])
     def test_rational_sum(self, grading, small, random_sample, tx_sums):
+        # with an x variable the fold stops at depth min(n, N + 1), so
+        # N = n - 1, n and n + 1 are where the two meet: checked on every
+        # poset with n <= 4 and every fourth with n = 5
         naturals = [P for P in small + random_sample if is_naturally_labelled(P)]
-        for P in naturals:
+        for i, P in enumerate(naturals):
+            boundary = P.n < 5 or P.n == 5 and i % 4 == 0
+            Ns = {0, 1, 3} | ({P.n - 1, P.n, P.n + 1} if boundary else set())
             if grading == "t":  # truncated by t degree, so no specialization of (t,x)
-                want = _rational_sum_by_enumeration(P, grading, 3)
+                want = _rational_sum_by_enumeration(P, grading, max(Ns))
             else:
                 if P not in tx_sums:
-                    tx_sums[P] = _rational_sum_by_enumeration(P, "tx", 3)
+                    tx_sums[P] = _rational_sum_by_enumeration(P, "tx", max(Ns))
                 want = specialized(tx_sums[P], P, grading)
-            for N in (0, 1, 3):  # a truncated product is exact up to its truncation
+            for N in sorted(Ns):  # a truncated product is exact up to its truncation
                 got = rational_sum_truncated(P, grading, N)
                 assert (got.trunc, got) == (N, truncated(want, N)), (P, N)
 
@@ -321,9 +326,10 @@ class TestFoldOracle:
 
     def test_a_capped_walk_stops_at_the_cap(self):
         # a non-forest with 2,048 ideals: its 91 prefixes of two elements
-        # outnumber the cap, so the halves' walk stops there and the error
-        # holds no more than the count's own walk (6.4 times as much if
-        # the halves' walk ran to the top)
+        # outnumber the cap, so the halves' walk stops there, holding less
+        # than a count of L(P) over the whole ideal lattice (6.4 times as
+        # much if the halves' walk ran to the top), and the error names 91
+        # as a lower bound of |L(P)| = 99,792,000
         P = Poset(12, [(1, 3), (2, 3), (1, 4)])
         tracemalloc.start()
         try:
@@ -331,11 +337,23 @@ class TestFoldOracle:
             counted = tracemalloc.get_traced_memory()[1]
             for fn in (semigroup_ideal, linear_extensions):
                 tracemalloc.reset_peak()
-                with pytest.raises(ExplosionError, match=r"^\|L\(P\)\| = 99792000 exceeds cap 10$"):
+                with pytest.raises(ExplosionError, match=r"^\|L\(P\)\| >= 91 exceeds cap 10$"):
                     fn(P, cap=10)
                 assert tracemalloc.get_traced_memory()[1] < 1.5 * counted, fn
         finally:
             tracemalloc.stop()
+
+    def test_a_capped_non_forest_is_not_counted(self, monkeypatch):
+        # 16 prefixes of one element outnumber the cap, and the error names
+        # that lower bound: no walk over the 3 * 2^15 ideals counts L(P)
+        def unreachable(*args):
+            raise AssertionError("counted L(P) past the cap")
+
+        monkeypatch.setattr(ppart.extensions, "_count_by_ideals", unreachable)
+        P = Poset(18, [(1, 3), (2, 3), (1, 4)])
+        for fn in (semigroup_ideal, linear_extensions):
+            with pytest.raises(ExplosionError, match=r"^\|L\(P\)\| >= 16 exceeds cap 10$"):
+                fn(P, cap=10)
 
     def test_maj_at_scale(self):
         assert maj_polynomial(Poset(10, [])) == q_factorial(10)

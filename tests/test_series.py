@@ -614,6 +614,28 @@ class TestRationalSum:
         with pytest.raises(LabelError):
             rational_sum_truncated(P2, "q", 4)
 
+    @pytest.mark.parametrize("N", [0, 3, 8, 12])
+    def test_fold_stops_at_n_plus_one(self, monkeypatch, N):
+        # two 6-element chains: with an x variable no factor past |I| = N
+        # counts, so no ideal of more than N elements is expanded; the t
+        # grading is truncated by t degree and expands every level
+        P = Poset(12, [(i, i + 1) for i in (1, 2, 3, 4, 5, 7, 8, 9, 10, 11)])
+        for grading in ("x", "tx", "q", "tq", "t"):
+            sizes = _expanded_sizes(monkeypatch)
+            got = rational_sum_truncated(P, grading, N)
+            monkeypatch.undo()
+            assert max(sizes) == (P.n - 1 if grading == "t" else min(P.n - 1, N)), grading
+            assert got == hilbert_truncated(P, "standard", grading, N), grading
+
+    def test_antichain_above_the_extension_cap(self, monkeypatch):
+        # 14! extensions, but the x fold stops at |I| = 5; the series is
+        # prod 1 / (1 - x_i), every monomial of degree <= 4 once
+        sizes = _expanded_sizes(monkeypatch)
+        got = rational_sum_truncated(Poset(14), "x", 4)
+        assert max(sizes) == 4
+        assert len(got.coeffs) == math.comb(18, 4) == 3060
+        assert set(got.coeffs.values()) == {1}
+
 
 def _numerator_at(P, N):
     """Oracle for the numerator: the weak (t,x) series of enumerated
@@ -845,6 +867,14 @@ class TestKoszul:
         h = hilbert_truncated(P, "weak", "tx", 6)
         assert inv * h.substitute_neg_t() == 1
 
+    def test_packed_inverse_matches_the_series_inverse(self, posets_to5):
+        # the walk's packed terms, t -> -t and inverted without unpacking,
+        # against the series composition they replace
+        cases = [(P, N) for P in posets_to5 for N in (0, 1, 4)]
+        for P, N in cases + [(P, N) for P in FIXTURES for N in (0, 4, 6)]:
+            want = hilbert_truncated(P, "weak", "tx", N).substitute_neg_t().inverse()
+            assert koszul_inverse(P, N) == (want, want.is_nonnegative()), (P, N)
+
     def test_antichain2_closed_form(self):
         P = Poset(2, [])
         inv, ok = koszul_inverse(P, 4)
@@ -887,7 +917,7 @@ def _rational_sum_by_tuples(P, grading, N):
 
     total = extensions.fold_extensions(
         P, {(0, (0,) * out.nx): 1}, step,
-        lambda a, b: {**a, **{k: a.get(k, 0) + v for k, v in b.items()}})
+        lambda a, b: {**a, **{k: a.get(k, 0) + v for k, v in b.items()}}, P.n)
     out.coeffs = over_one_minus(total, m[P.full_mask], N)
     return out
 
