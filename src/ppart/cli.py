@@ -25,7 +25,7 @@ import time
 
 from . import errors
 from .complexes import DEFAULT_VERTEX_CAP, forest_consistency
-from .extensions import DEFAULT_CAP, count_extensions, linear_extensions, maj_polynomial
+from .extensions import DEFAULT_CAP, linear_extensions, maj_polynomial
 from .partitions import FLAVORS, STANDARD, WEAK, count_by_size, delta_data
 from .poset import (
     connected_ideals,
@@ -159,10 +159,8 @@ def _cmd_analyze(P, args):
 
 
 def _cmd_extensions(P, args):
-    out = {
-        "count": count_extensions(P),
-        "maj_polynomial": maj_polynomial(P, cap=args.cap).coeffs,
-    }
+    maj = maj_polynomial(P, cap=args.cap).coeffs
+    out = {"count": sum(maj), "maj_polynomial": maj}  # |L(P)| is W(1)
     if args.list:
         out["extensions"] = [
             {

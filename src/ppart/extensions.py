@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import deque
 from functools import reduce
 from operator import add
 from typing import NamedTuple
 
 from .errors import ExplosionError
 from .partitions import delta_data
-from .poset import Poset, _collector_paused, _memoized, hasse_components, mask_of, members
+from .poset import (Poset, _chain_levels, _collector_paused, _memoized, hasse_components,
+                    mask_of, members)
 from .qpoly import QPolynomial
 
 DEFAULT_CAP = 10_000_000
@@ -55,6 +57,21 @@ def _check_cap(count: int, cap: int, relation: str = "=") -> None:
     """Raise ExplosionError, naming |L(P)| relation count, if count > cap."""
     if count > cap:
         raise ExplosionError(f"|L(P)| {relation} {count} exceeds cap {cap}")
+
+
+def _capped_levels(P: Poset, cap: int):
+    """The levels of `_chain_levels`, each checked against the cap.
+
+    The chains up to an ideal of level k are the prefixes of k elements
+    of the linear extensions, and each begins at least one extension, so
+    once the prefixes of one level outnumber cap, so does L(P):
+    ExplosionError is raised there, before the next level is built, with
+    that count as a lower bound (exact from level n - 1 on).  Level 0,
+    the empty prefix alone, is not checked."""
+    for k, level in enumerate(_chain_levels(P)):
+        if k:
+            _check_cap(sum(level.values()), cap, "=" if k >= P.n - 1 else ">=")
+        yield level
 
 
 # A linear extension's descent statistics summed into one int by
@@ -130,39 +147,28 @@ def _halves(P: Poset, weight, cap: int):
     ideals one element larger: p followed by each suffix of the ideal plus
     p, for its next elements p in ascending order, so every suffix is
     built once and shared by the ideals below it.  k is the (highest)
-    level whose prefixes and suffixes are fewest, counted first over the
-    ideal lattice: an ideal J has as many prefixes as there are chains from the
-    empty ideal to J, and as many suffixes as there are chains from J to P.
-
-    The walk counts the prefixes of each level as it goes, so under the
-    cap no second count of L(P) is made.  Each prefix begins at least one
-    extension, so once the prefixes of one level outnumber cap, so does
-    L(P): ExplosionError is raised there, before either half is built,
-    with that count as a lower bound (exact from level n - 1 on).
-    A forest or its dual is counted by its hooks before any walk.
+    level whose prefixes and suffixes are fewest: an ideal J has as many
+    prefixes as there are chains from the empty ideal to J, counted by
+    `_capped_levels` under the cap before either half is built, and as
+    many suffixes as there are chains from J to P, counted down from P
+    while the moves of each ideal are listed.  A forest or its dual is
+    counted by its hooks before any walk.
     """
     hooks = _hook_count(P)
     if hooks is not None:
         _check_cap(hooks, cap)
+    levels = list(_capped_levels(P, cap))  # the ideals of each size -> their number of prefixes
     full = P.full_mask
     moves = {}  # ideal -> [(p, ideal + p)] for p minimal in the rest
-    levels = [{0: 1}]  # the ideals of each size -> their number of prefixes
-    for _ in range(P.n):
-        nxt = {}
-        for ideal, count in levels[-1].items():
-            moves[ideal] = steps = [(p, ideal | 1 << (p - 1))
-                                    for p in P.minimal_elements(full & ~ideal)]
-            for _, grown in steps:
-                nxt[grown] = nxt.get(grown, 0) + count
-        levels.append(nxt)
-        _check_cap(sum(nxt.values()), cap, "=" if len(levels) >= P.n else ">=")
     rests = {full: 1}  # ideal -> its number of suffixes
     sizes = [levels[-1][full] + 1]  # the prefixes and suffixes of each level, from the top
     for level in reversed(levels[:-1]):
         listed = 0
         for ideal, count in level.items():
+            moves[ideal] = steps = [(p, ideal | 1 << (p - 1))
+                                    for p in P.minimal_elements(full & ~ideal)]
             rest = 0
-            for _, grown in moves[ideal]:
+            for _, grown in steps:
                 rest += rests[grown]
             rests[ideal] = rest
             listed += count + rest
@@ -199,8 +205,9 @@ def fold_levels(P: Poset, start, step, merge, depth: int) -> dict:
     |I| when last > p.  step(v, I, descent) is the value carried along
     such an edge, or None to drop it; it is called at most once per state
     and kind of edge.  merge adds the values reaching one state and must
-    not change its arguments.  Only ideals of fewer than depth elements
-    are expanded, and the walk keeps two levels of states, never L(P).
+    not change its arguments.  Only the ideals of fewer than depth
+    elements that a kept state reaches are expanded, so the walk is not
+    `poset._chain_levels`, and it keeps two levels of states, never L(P).
     Returns {I: {last: value}}.
     """
     level = {0: {0: start}}
@@ -244,10 +251,10 @@ def count_extensions(P: Poset) -> int:
     When every element has at most one upper cover, P is a forest and
     |L(P)| = n!/prod |down x| (Knuth's hook length formula for forests);
     when every element has at most one lower cover, dually n!/prod |up x|.
-    Any other poset is counted by dynamic programming over the ideal
-    lattice (`_count_by_ideals`)."""
+    Any other poset is counted as the maximal chains of its ideal lattice,
+    the last level of `_chain_levels`."""
     count = _hook_count(P)
-    return _count_by_ideals(P) if count is None else count
+    return deque(_chain_levels(P), maxlen=1).pop()[P.full_mask] if count is None else count
 
 
 def _hook_count(P: Poset) -> int | None:
@@ -263,30 +270,18 @@ def _hook_count(P: Poset) -> int | None:
     return math.factorial(P.n) // hooks
 
 
-def _count_by_ideals(P: Poset) -> int:
-    """|L(P)| as the number of maximal chains from the empty ideal to the
-    full one, by dynamic programming over the ideal lattice."""
-    counts = {0: 1}
-    frontier = [0]
-    while frontier:
-        by_size: dict[int, int] = {}
-        for ideal in frontier:
-            c = counts[ideal]
-            for p in P.minimal_elements(P.full_mask & ~ideal):
-                grown = ideal | (1 << (p - 1))
-                by_size[grown] = by_size.get(grown, 0) + c
-        for ideal, c in by_size.items():
-            counts[ideal] = counts.get(ideal, 0) + c
-        frontier = list(by_size)
-    return counts[P.full_mask]
-
-
 def maj_polynomial(P: Poset, cap: int = DEFAULT_CAP) -> QPolynomial:
     """Sum over L(P) of q^maj(w), by `maj_coefficients` up to the largest
     maj, n(n-1)/2.
 
-    Raises ExplosionError when more than cap extensions exist."""
-    _check_cap(count_extensions(P), cap)
+    Raises ExplosionError when more than cap extensions exist: at once by
+    the hook count on a forest or its dual, else at the first level of
+    `_capped_levels` whose prefixes outnumber cap."""
+    hooks = _hook_count(P)
+    if hooks is None:
+        deque(_capped_levels(P, cap), maxlen=0)  # walked for its checks only
+    else:
+        _check_cap(hooks, cap)
     return QPolynomial(tuple(maj_coefficients(P, P.n * (P.n - 1) // 2)))
 
 

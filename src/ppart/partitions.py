@@ -192,7 +192,8 @@ def fundamental_permutation(P: Poset, f):
 
 def _levels(P: Poset, flavor: str, N: int) -> list[dict[int, int]]:
     """levels[k] maps each ideal A of size k <= N to need(A); a last level
-    {P: need(P)} follows when P has more than N elements.
+    {P: need(P)} follows when P has more than N elements.  The sizes past
+    N are never built, so these are not the levels of `poset._chain_levels`.
 
     A vector f is its chain P = A_0 >= A_1 >= ... of level ideals A_v =
     {f >= v} (Stanley, Ordered structures and partitions, 1972).  A step

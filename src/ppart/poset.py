@@ -256,23 +256,28 @@ def hasse_components(P: Poset, mask: int) -> list[int]:
     return comps
 
 
+def _chain_levels(P: Poset):
+    """For k = 0..n, the ideals of k elements, in the order first reached,
+    each mapped to its number of maximal chains up from the empty ideal
+    (so the last level is {P: |L(P)|}).  Only the current level is kept."""
+    level = {0: 1}
+    full = P.full_mask
+    yield level
+    for _ in range(P.n):
+        nxt = {}
+        for ideal, count in level.items():
+            for p in P.minimal_elements(full & ~ideal):
+                grown = ideal | 1 << (p - 1)
+                nxt[grown] = nxt.get(grown, 0) + count
+        level = nxt
+        yield level
+
+
 def iter_ideals(P: Poset):
-    """All order ideals of P (including the empty one), by BFS over the
-    ideal lattice from the bottom, adding minimal elements of the complement."""
-    seen = {0}
-    frontier = [0]
-    yield 0
-    while frontier:
-        nxt = []
-        for ideal in frontier:
-            comp = P.full_mask & ~ideal
-            for p in P.minimal_elements(comp):
-                grown = ideal | (1 << (p - 1))
-                if grown not in seen:
-                    seen.add(grown)
-                    nxt.append(grown)
-                    yield grown
-        frontier = nxt
+    """All order ideals of P (including the empty one), by size: the
+    levels of `_chain_levels`, each in the order first reached."""
+    for level in _chain_levels(P):
+        yield from level
 
 
 def count_ideals(P: Poset) -> int:

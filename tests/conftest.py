@@ -340,3 +340,43 @@ def level_chains_by_tuples(P, flavor, N):
                         seen[B] = _multiset_vector(P.n, ((B, 1),)), len(hasse_components(P, B))
                     ind, c = seen[B]
                     stack.append((B, B_need, tuple(map(add, f, ind)), budget - size, nu_f + c))
+
+
+# -- the ideal-lattice walks that `poset._chain_levels` replaced ----------
+
+
+def ideals_by_bfs(P):
+    """All order ideals of P, the empty one first, by BFS over the ideal
+    lattice from the bottom, adding minimal elements of the complement:
+    the order `iter_ideals` must keep."""
+    seen = {0}
+    frontier = [0]
+    yield 0
+    while frontier:
+        nxt = []
+        for ideal in frontier:
+            for p in P.minimal_elements(P.full_mask & ~ideal):
+                grown = ideal | (1 << (p - 1))
+                if grown not in seen:
+                    seen.add(grown)
+                    nxt.append(grown)
+                    yield grown
+        frontier = nxt
+
+
+def _count_by_ideals(P):
+    """|L(P)| as the number of maximal chains from the empty ideal to the
+    full one, with the counts of every ideal of the lattice kept."""
+    counts = {0: 1}
+    frontier = [0]
+    while frontier:
+        by_size = {}
+        for ideal in frontier:
+            c = counts[ideal]
+            for p in P.minimal_elements(P.full_mask & ~ideal):
+                grown = ideal | (1 << (p - 1))
+                by_size[grown] = by_size.get(grown, 0) + c
+        for ideal, c in by_size.items():
+            counts[ideal] = counts.get(ideal, 0) + c
+        frontier = list(by_size)
+    return counts[P.full_mask]

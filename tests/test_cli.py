@@ -362,6 +362,22 @@ class TestTree18Bottom:
         assert "|L(P)| = 5227622400" in err
 
 
+class TestCappedNonForest:
+    """A non-forest whose 16 minimal elements outnumber a cap of 10, with
+    |L(P)| = 1,333,827,855,360,000 over 3 * 2^15 ideals: the cap trips at
+    the first level of the ideal lattice, and L(P) is not counted."""
+
+    def test_extensions_exits_at_the_cap(self, tmp_path, capsys):
+        path = tmp_path / "wide18.poset"
+        path.write_text("n 18\n1 3\n2 3\n1 4\n")
+        start = time.perf_counter()
+        code = main(["extensions", str(path), "--cap", "10"])
+        assert time.perf_counter() - start < 0.2
+        out, err = capsys.readouterr()
+        assert (code, out) == (4, "")
+        assert "|L(P)| >= 16 exceeds cap 10" in err
+
+
 class TestPiListings:
     # (fewest, most) calls of nontrivial_pairs per command.  hook and
     # selftest list Pi only for forests with duplications, where

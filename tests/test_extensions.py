@@ -6,7 +6,15 @@ import tracemalloc
 import pytest
 
 import ppart.extensions
-from conftest import graded_key, one_minus, plus, random_posets, specialized, truncated
+from conftest import (
+    _count_by_ideals,
+    graded_key,
+    one_minus,
+    plus,
+    random_posets,
+    specialized,
+    truncated,
+)
 from ppart import (
     ExplosionError,
     Poset,
@@ -25,7 +33,7 @@ from ppart import (
     rational_sum_truncated,
     semigroup_ideal,
 )
-from ppart.extensions import DEFAULT_CAP, _count_by_ideals, _halves, maj_coefficients
+from ppart.extensions import DEFAULT_CAP, _halves, maj_coefficients
 from ppart.fixtures import EX33, FIG1, P1, P2
 from ppart.partitions import _multiset_vector
 
@@ -153,7 +161,7 @@ class TestCount:
         def walk(P):
             raise AssertionError("walked the ideal lattice of a forest")
 
-        monkeypatch.setattr(ppart.extensions, "_count_by_ideals", walk)
+        monkeypatch.setattr(ppart.extensions, "_chain_levels", walk)
         assert [count_extensions(P) for P in forests] == expect
         assert count_extensions(Poset(22, [])) == math.factorial(22)
 
@@ -303,6 +311,13 @@ class TestFoldOracle:
                 fn(FIG1, cap=299)
             fn(FIG1, cap=300)
 
+    def test_cap_zero_names_the_first_level(self):
+        # the empty prefix is not checked: the first count is FIG1's four
+        # minimal elements, a lower bound of |L(P)| = 300
+        for fn in (maj_polynomial, semigroup_ideal, linear_extensions):
+            with pytest.raises(ExplosionError, match=r"^\|L\(P\)\| >= 4 exceeds cap 0$"):
+                fn(FIG1, cap=0)
+
     def test_a_capped_non_forest_builds_no_half(self, monkeypatch):
         # FIG1 is no forest; the halves are built from the memoized
         # weight on, so only after the cap
@@ -315,25 +330,32 @@ class TestFoldOracle:
                 fn(FIG1, cap=299)
 
     def test_an_uncapped_non_forest_is_counted_once(self, monkeypatch):
-        # |L(P)| under the cap is the halves' own forward count
-        want = (linear_extensions(FIG1), semigroup_ideal(FIG1))
+        # |L(P)| under the cap is the halves' own forward count, and
+        # maj_polynomial's one count for its cap
+        fns = (linear_extensions, semigroup_ideal, maj_polynomial)
+        want = [fn(FIG1) for fn in fns]
+        walk, walks = ppart.extensions._chain_levels, []
 
-        def unreachable(*args):
-            raise AssertionError("counted L(P) a second time")
+        def counted(P):
+            walks.append(P)
+            return walk(P)
 
-        monkeypatch.setattr(ppart.extensions, "_count_by_ideals", unreachable)
-        assert (linear_extensions(FIG1, cap=300), semigroup_ideal(FIG1, cap=300)) == want
+        monkeypatch.setattr(ppart.extensions, "_chain_levels", counted)
+        for fn, expect in zip(fns, want):
+            walks.clear()
+            assert fn(FIG1, cap=300) == expect
+            assert walks == [FIG1], fn
 
     def test_a_capped_walk_stops_at_the_cap(self):
         # a non-forest with 2,048 ideals: its 91 prefixes of two elements
         # outnumber the cap, so the halves' walk stops there, holding less
-        # than a count of L(P) over the whole ideal lattice (6.4 times as
-        # much if the halves' walk ran to the top), and the error names 91
-        # as a lower bound of |L(P)| = 99,792,000
+        # than the oracle's count of L(P), which keeps every ideal's count
+        # (6.4 times as much if the halves' walk ran to the top), and the
+        # error names 91 as a lower bound of |L(P)| = 99,792,000
         P = Poset(12, [(1, 3), (2, 3), (1, 4)])
         tracemalloc.start()
         try:
-            count_extensions(P)
+            _count_by_ideals(P)
             counted = tracemalloc.get_traced_memory()[1]
             for fn in (semigroup_ideal, linear_extensions):
                 tracemalloc.reset_peak()
@@ -346,12 +368,16 @@ class TestFoldOracle:
     def test_a_capped_non_forest_is_not_counted(self, monkeypatch):
         # 16 prefixes of one element outnumber the cap, and the error names
         # that lower bound: no walk over the 3 * 2^15 ideals counts L(P)
-        def unreachable(*args):
-            raise AssertionError("counted L(P) past the cap")
+        walk = ppart.extensions._chain_levels
 
-        monkeypatch.setattr(ppart.extensions, "_count_by_ideals", unreachable)
+        def levels_to_1(P):
+            for k, level in enumerate(walk(P)):
+                assert k <= 1, "counted L(P) past the cap"
+                yield level
+
+        monkeypatch.setattr(ppart.extensions, "_chain_levels", levels_to_1)
         P = Poset(18, [(1, 3), (2, 3), (1, 4)])
-        for fn in (semigroup_ideal, linear_extensions):
+        for fn in (maj_polynomial, semigroup_ideal, linear_extensions):
             with pytest.raises(ExplosionError, match=r"^\|L\(P\)\| >= 16 exceeds cap 10$"):
                 fn(P, cap=10)
 

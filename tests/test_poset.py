@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 import ppart.poset
-from conftest import random_posets
+from conftest import ideals_by_bfs, random_posets
 from ppart import (
     CycleError,
     ExplosionError,
@@ -164,6 +164,11 @@ class TestIdeals:
             monkeypatch.setattr(ppart.poset, name, forbidden)
         fresh = Poset(14, sorted(TREE14.covers))  # no J_conn kept on it yet
         assert len(connected_ideals(fresh)) == 416
+
+    def test_iter_ideals_keeps_the_bfs_order(self, posets5):
+        small = [*(P for n in range(1, 5) for P in enumerate_posets(n)), *posets5]
+        for P in small + random_posets(13, 100, range(6, 13)):
+            assert list(iter_ideals(P)) == list(ideals_by_bfs(P)), P
 
     def test_count_ideals(self, posets5):
         for P in [*posets5, *random_posets(12, 100, range(6, 13))]:
