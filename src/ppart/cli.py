@@ -186,12 +186,10 @@ def _cmd_classify(P, args):
 
 
 def _cmd_hook(P, args):
-    out = {"count": hook_count(P)}
-    if is_naturally_labelled(P):
-        out["q_polynomial"] = hook_formula(P).coeffs
-    else:
-        out["q_polynomial"] = None
-    return out
+    if not is_naturally_labelled(P):
+        return {"count": hook_count(P), "q_polynomial": None}
+    q = hook_formula(P).coeffs
+    return {"count": sum(q), "q_polynomial": q}  # |L(P)| is W(1)
 
 
 def _cmd_hilbert(P, args):

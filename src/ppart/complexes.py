@@ -20,6 +20,7 @@ from .poset import (
     connected_ideals,
     ideal_key,
     members,
+    principal_ideal,
 )
 
 DEFAULT_VERTEX_CAP = 24
@@ -55,23 +56,9 @@ class PForest:
         return Poset(self.n, self.covers())
 
     def principal_ideals(self) -> tuple[int, ...]:
-        children: dict[int, list[int]] = {}
-        for i, p in self.covers():
-            children.setdefault(p, []).append(i)
-        masks = [0] * (self.n + 1)
-
-        def fill(i):
-            if masks[i]:
-                return masks[i]
-            m = 1 << (i - 1)
-            for c in children.get(i, ()):
-                m |= fill(c)
-            masks[i] = m
-            return m
-
-        ideals = [fill(i) for i in range(1, self.n + 1)]
-        del fill  # its closure cycle would keep masks alive until a full collection
-        return tuple(sorted(ideals, key=ideal_key))
+        """Each element with all below it in the forest, by ideal_key."""
+        F = self.as_poset()
+        return tuple(sorted((principal_ideal(F, p) for p in range(1, self.n + 1)), key=ideal_key))
 
 
 def _max_cliques(adj, nv):
@@ -168,13 +155,13 @@ def forest_consistency(P: Poset, cap: int = DEFAULT_VERTEX_CAP) -> ForestReport:
     """Check that the facet forests partition the linear extensions:
     the forest counts, each n! over the product of its principal ideal
     sizes (Knuth's hook length formula for forests), must add up to
-    `count_extensions(P)`.  The report keeps the complex, so a caller
-    never builds it twice."""
+    `count_extensions(P)`.  A facet is its forest's set of principal
+    ideals, so the sizes are read off the facet.  The report keeps the
+    complex, so a caller never builds it twice."""
     complex_ = delta_complex(P, cap)
     terms = []
     for facet in complex_.facets:
-        forest = _facet_to_forest(P, facet)
-        hooks = math.prod(J.bit_count() for J in forest.principal_ideals())
-        terms.append((forest.parent, math.factorial(P.n) // hooks))
+        hooks = math.prod(J.bit_count() for J in facet)
+        terms.append((_facet_to_forest(P, facet).parent, math.factorial(P.n) // hooks))
     total = sum(c for _, c in terms)
     return ForestReport(tuple(terms), total, count_extensions(P), complex_)

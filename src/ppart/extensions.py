@@ -5,7 +5,7 @@ the last element of the prefix w[:i] and the next one, and the descent
 statistics of this package add at a descent a term that depends only on
 i and the prefix ideal.  So they can be summed over the states (ideal,
 last element) of the ideal lattice instead of over L(P) (Stanley,
-Ordered structures and partitions, 1972): see `fold_levels`.
+Ordered structures and partitions, 1972): see `fold_extensions`.
 
 What must list L(P), `linear_extensions` here and the descent vectors
 of `presentation.semigroup_ideal`, joins two halves at a middle level k
@@ -195,9 +195,10 @@ def _halves(P: Poset, weight, cap: int):
     return prefixes, suffixes, weighed
 
 
-def fold_levels(P: Poset, start, step, merge, depth: int) -> dict:
-    """The states (I, last) with |I| = depth and the values folded into
-    them along every prefix of a linear extension of P.
+def fold_extensions(P: Poset, start, step, merge, depth: int):
+    """Fold a value along every linear extension of P at once, over the
+    states (I, last) of the ideal lattice, and return the merged value of
+    the states with |I| = depth and labels 1..last in I (None if none).
 
     A state is an order ideal I listed by a prefix that ends in last (0
     for the empty prefix).  Appending a minimal element p of the
@@ -208,8 +209,12 @@ def fold_levels(P: Poset, start, step, merge, depth: int) -> dict:
     not change its arguments.  Only the ideals of fewer than depth
     elements that a kept state reaches are expanded, so the walk is not
     `poset._chain_levels`, and it keeps two levels of states, never L(P).
-    Returns {I: {last: value}}.
-    """
+
+    A counted state's rest R in increasing label order begins above last.
+    At depth n, R is empty.  Below n, the step must drop a value at a
+    descent past depth and keep it elsewhere, and R so listed must be a
+    linear extension, the state's one completion (as on a naturally
+    labelled P)."""
     level = {0: {0: start}}
     for _ in range(depth):
         nxt: dict[int, dict] = {}
@@ -229,18 +234,7 @@ def fold_levels(P: Poset, start, step, merge, depth: int) -> dict:
                     if u is not None:
                         target[p] = merge(target[p], u) if p in target else u
         level = nxt
-    return level
-
-
-def fold_extensions(P: Poset, start, step, merge, depth: int):
-    """Fold a value along every linear extension of P at once: the merged
-    value of the states (I, last) of `fold_levels` at |I| = depth with
-    labels 1..last in I, so that the rest R in increasing label order
-    begins above last (None if none).  At depth n, R is empty.  Below n,
-    the step must drop a value at a descent past depth and keep it
-    elsewhere, and R so listed must be a linear extension, the state's one
-    completion (as on a naturally labelled P)."""
-    counted = [v for ideal, states in fold_levels(P, start, step, merge, depth).items()
+    counted = [v for ideal, states in level.items()
                for last, v in states.items() if not ~ideal & ((1 << last) - 1)]
     return reduce(merge, counted) if counted else None
 
@@ -288,7 +282,7 @@ def maj_polynomial(P: Poset, cap: int = DEFAULT_CAP) -> QPolynomial:
 def maj_coefficients(P: Poset, N: int) -> list[int]:
     """The coefficients of q^0..q^N of the sum over L(P) of q^maj(w).
 
-    By `fold_levels`: a descent at position |I| shifts the state's
+    By `fold_extensions`: a descent at position |I| shifts the state's
     coefficient list by |I|, and a state is dropped once none of its
     coefficients can end at or below N.  After a prefix I of k elements,
     a listing u of the rest R adds k des(u) + maj(u) to maj.  By Stanley's

@@ -309,12 +309,6 @@ def delta_counterexample(P: Poset):
 
 def stanley_delta_chain(P: Poset) -> bool:
     """True iff for every element all maximal chains above it have equal
-    length."""
-    height = [0] * (P.n + 1)
-    for p in reversed(lex_min_extension(P)):
-        vals = [height[b] + 1 for b in P.upper_covers[p]]
-        if vals:
-            if min(vals) != max(vals):
-                return False
-            height[p] = vals[0]
-    return True
+    length: delta's chain condition on the strict labelling, where every
+    cover falls in label, so delta is the height above each element."""
+    return delta_data(flavor_labelling(P, STRICT)).satisfies_labelled_condition

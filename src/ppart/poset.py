@@ -492,29 +492,10 @@ def enumerate_posets(n: int):
         raise RangeError("enumerate_posets supports 1 <= n <= 5")
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
-        lt = [[False] * (n + 1) for _ in range(n + 1)]
-        for (a, b), c in zip(pairs, choice):
-            if c == 1:
-                lt[a][b] = True
-            elif c == 2:
-                lt[b][a] = True
-        transitive = True
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                if lt[a][b]:
-                    for c in range(1, n + 1):
-                        if lt[b][c] and not lt[a][c]:
-                            transitive = False
-                            break
-                if not transitive:
-                    break
-            if not transitive:
-                break
-        if transitive:
-            rels = [
-                (a, b)
-                for a in range(1, n + 1)
-                for b in range(1, n + 1)
-                if lt[a][b]
-            ]
+        rels = [(a, b) if c == 1 else (b, a) for (a, b), c in zip(pairs, choice) if c]
+        up = [0] * (n + 1)
+        for a, b in rels:
+            up[a] |= 1 << (b - 1)
+        # transitive iff every b above a has nothing above it that a lacks
+        if all(not up[b] & ~up[a] for a in range(1, n + 1) for b in members(up[a])):
             yield Poset(n, rels)

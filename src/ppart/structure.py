@@ -115,17 +115,22 @@ def _node_json(node):
 
 
 def _replay(node):
-    """Rebuild (element mask, strict up-relation dict) from a recipe tree."""
+    """Rebuild (element mask, relations) from a recipe tree, the relations
+    left unclosed for `Poset` to close.  A hang puts every element of the
+    lower piece below the target.  A duplicate a2 of a gets a pair (p, a2)
+    for each pair (p, a) and (a2, b) for each (a, b): every chain into or
+    out of a ends in such a direct pair, so the closure puts a2 above all
+    below a and below all above a.  A later hang on a reaches a only."""
     if isinstance(node, Leaf):
-        return 1 << (node.label - 1), {node.label: 0}
+        return 1 << (node.label - 1), []
     if isinstance(node, DisjointUnion):
-        mask, rel = 0, {}
+        mask, rel = 0, []
         for part in node.parts:
             pmask, prel = _replay(part)
             if mask & pmask:
                 raise AssertionError("disjoint union pieces overlap")
             mask |= pmask
-            rel.update(prel)
+            rel += prel
         return mask, rel
     if isinstance(node, Hang):
         umask, urel = _replay(node.upper)
@@ -134,33 +139,26 @@ def _replay(node):
             raise AssertionError("hang pieces overlap")
         if not umask & (1 << (node.target - 1)):
             raise AssertionError("hang target missing from upper piece")
-        above = urel[node.target] | (1 << (node.target - 1))
-        rel = dict(urel)
-        for p, up in lrel.items():
-            rel[p] = up | above
-        return umask | lmask, rel
+        return umask | lmask, urel + lrel + [(p, node.target) for p in members(lmask)]
     # Duplicate
     cmask, crel = _replay(node.child)
     a, a2 = node.hanger, node.duplicate
-    abit, a2bit = 1 << (a - 1), 1 << (a2 - 1)
-    if not cmask & abit:
+    if not cmask & (1 << (a - 1)):
         raise AssertionError("duplication hanger missing")
-    if cmask & a2bit:
+    if cmask & (1 << (a2 - 1)):
         raise AssertionError("duplicate label already present")
-    rel = {}
-    for p, up in crel.items():
-        rel[p] = up | a2bit if up & abit else up
-    rel[a2] = crel[a]
-    return cmask | a2bit, rel
+    twins = [(p, a2) for p, b in crel if b == a] + [(a2, b) for p, b in crel if p == a]
+    return cmask | 1 << (a2 - 1), crel + twins
 
 
 def recipe_poset(recipe: BuildRecipe) -> Poset:
-    """The poset a recipe builds (labels must cover 1..n)."""
+    """The poset a recipe builds (labels must cover 1..n): `Poset` closes
+    the relations of `_replay`."""
     mask, rel = _replay(recipe.root)
     n = max(members(mask))
     if mask != (1 << n) - 1:
         raise AssertionError("recipe labels do not cover 1..n")
-    return Poset(n, [(p, b) for p, up in rel.items() for b in members(up)])
+    return Poset(n, rel)
 
 
 # -- principal / nearly principal ideals --------------------------------

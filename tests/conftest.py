@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from operator import add
@@ -23,7 +24,9 @@ from ppart.partitions import (
     _strict_covers,
     classify_map,
 )
+from ppart.poset import ideal_key
 from ppart.series import _GRADINGS, _graded, normalize_grading
+from ppart.structure import DisjointUnion, Hang, Leaf
 
 
 def random_poset(rng, n, p=0.3):
@@ -380,3 +383,107 @@ def _count_by_ideals(P):
             counts[ideal] = counts.get(ideal, 0) + c
         frontier = list(by_size)
     return counts[P.full_mask]
+
+
+# -- the hand-made order closures that `Poset.__init__` replaced ----------
+
+
+def replay_by_up_sets(node):
+    """(element mask, {p: mask of the elements above p}) for a recipe tree,
+    each operation closing the order as it goes: a hang puts the lower
+    piece below the target and all above it, a duplicate a2 of a goes
+    above all below a and below all above a."""
+    if isinstance(node, Leaf):
+        return 1 << (node.label - 1), {node.label: 0}
+    if isinstance(node, DisjointUnion):
+        mask, rel = 0, {}
+        for part in node.parts:
+            pmask, prel = replay_by_up_sets(part)
+            mask |= pmask
+            rel.update(prel)
+        return mask, rel
+    if isinstance(node, Hang):
+        umask, urel = replay_by_up_sets(node.upper)
+        lmask, lrel = replay_by_up_sets(node.lower)
+        above = urel[node.target] | (1 << (node.target - 1))
+        rel = dict(urel)
+        for p, up in lrel.items():
+            rel[p] = up | above
+        return umask | lmask, rel
+    cmask, crel = replay_by_up_sets(node.child)
+    a, a2 = node.hanger, node.duplicate
+    abit, a2bit = 1 << (a - 1), 1 << (a2 - 1)
+    rel = {p: up | a2bit if up & abit else up for p, up in crel.items()}
+    rel[a2] = crel[a]
+    return cmask | a2bit, rel
+
+
+def principal_ideals_by_recursion(forest):
+    """A forest's principal ideals, each node's mask filled from its
+    children's, sorted by ideal_key."""
+    children = {}
+    for i, p in forest.covers():
+        children.setdefault(p, []).append(i)
+    masks = [0] * (forest.n + 1)
+
+    def fill(i):
+        if not masks[i]:
+            masks[i] = 1 << (i - 1)
+            for c in children.get(i, ()):
+                masks[i] |= fill(c)
+        return masks[i]
+
+    ideals = [fill(i) for i in range(1, forest.n + 1)]
+    del fill  # its closure cycle would keep masks alive until a full collection
+    return tuple(sorted(ideals, key=ideal_key))
+
+
+def posets_by_matrix(n):
+    """Every labelled poset on {1..n}, one per choice of a < b, b < a or
+    neither for each pair, kept when its boolean matrix is transitive."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
+        lt = [[False] * (n + 1) for _ in range(n + 1)]
+        for (a, b), c in zip(pairs, choice):
+            if c == 1:
+                lt[a][b] = True
+            elif c == 2:
+                lt[b][a] = True
+        r = range(1, n + 1)
+        if all(lt[a][c] for a in r for b in r if lt[a][b] for c in r if lt[b][c]):
+            yield Poset(n, [(a, b) for a in r for b in r if lt[a][b]])
+
+
+def stanley_chain_by_heights(P):
+    """True iff for every element all maximal chains above it have equal
+    length, by the height above each element down a reversed linear
+    extension."""
+    height = [0] * (P.n + 1)
+    for p in reversed(lex_min_extension(P)):
+        vals = [height[b] + 1 for b in P.upper_covers[p]]
+        if vals:
+            if min(vals) != max(vals):
+                return False
+            height[p] = vals[0]
+    return True
+
+
+def random_fwd_poset(rng, n):
+    """A random forest with duplications on n elements: a random forest
+    (roots at the top) on the first elements, then twins of distinct
+    non-minimal ones, each with its original's upper and lower covers,
+    under shuffled labels."""
+    while True:
+        dups = rng.randint(0, n // 3)
+        base = n - dups
+        parent = [None] + [rng.randrange(i) if rng.random() < 0.8 else None
+                           for i in range(1, base)]
+        hangers = sorted({p for p in parent if p is not None})
+        if len(hangers) >= dups:
+            break
+    covers = [(i, p) for i, p in enumerate(parent) if p is not None]
+    for a2, a in enumerate(rng.sample(hangers, dups), start=base):
+        covers += [(a2, p) for i, p in covers if i == a] + [(i, a2) for i, p in covers if p == a]
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    return Poset(n, [(label[i], label[p]) for i, p in covers])

@@ -201,6 +201,17 @@ class TestPayloads:
         assert doc["schema"] == "ppart/1"
         assert doc["results"]["count"] == 300
 
+    def test_hook_reads_the_count_off_the_q_polynomial(self, monkeypatch):
+        # fig1 is naturally labelled, so |L(P)| is W(1) and Pi is listed once
+        def unused(P):
+            raise AssertionError("hook_count called on a naturally labelled poset")
+
+        monkeypatch.setattr(cli, "hook_count", unused)
+        code, out = run_cli(["hook", FIG1])
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["count"] == sum(results["q_polynomial"]) == 300
+
     def test_classify_witness(self):
         code, out = run_cli(["classify", str(FIXTURES / "forb3.poset")])
         assert code == 0

@@ -15,7 +15,7 @@ from ppart import (
 )
 from ppart.fixtures import BOWTIE, EX33, FIG1, P1
 
-from conftest import random_posets
+from conftest import principal_ideals_by_recursion, random_posets
 
 CHAIN3 = Poset(3, [(1, 2), (2, 3)])
 
@@ -110,8 +110,21 @@ class TestPForests:
                     sorted(facet, key=lambda m: (bin(m).count("1"), m))
                 )
 
+    def test_principal_ideals_match_the_recursion(self, posets_to5):
+        for P in posets_to5:
+            for forest in p_forests(P):
+                assert forest.principal_ideals() == principal_ideals_by_recursion(forest)
+
 
 class TestConsistency:
+    def test_sizes_come_from_the_facets(self, monkeypatch):
+        def unused(self):
+            raise AssertionError("forest_consistency listed a forest's principal ideals")
+
+        monkeypatch.setattr(PForest, "principal_ideals", unused)
+        for P in (BOWTIE, CHAIN3, FIG1, EX33, P1):
+            assert forest_consistency(P).ok
+
     def test_bowtie(self):
         r = forest_consistency(BOWTIE)
         assert sorted(c for _, c in r.terms) == [2, 2]

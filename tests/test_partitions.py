@@ -23,7 +23,7 @@ from ppart import (
     stanley_delta_chain,
     trivially_intersecting,
 )
-from conftest import enumerate_by_assignment, random_posets
+from conftest import enumerate_by_assignment, random_posets, stanley_chain_by_heights
 from ppart.fixtures import BOWTIE, EX33, FIG1, FORB1, FORB2, FORB3, P1, P2, P3
 from ppart.partitions import _level_chains, _levels
 from ppart.series import _graded
@@ -417,3 +417,7 @@ class TestStanleyChain:
 
     def test_p1(self):
         assert stanley_delta_chain(P1)
+
+    def test_matches_the_heights(self, posets_to5):
+        for P in posets_to5 + random_posets(27, 200, range(6, 11)):
+            assert stanley_delta_chain(P) == stanley_chain_by_heights(P)

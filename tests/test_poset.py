@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 import ppart.poset
-from conftest import ideals_by_bfs, random_posets
+from conftest import ideals_by_bfs, posets_by_matrix, random_posets
 from ppart import (
     CycleError,
     ExplosionError,
@@ -357,6 +357,12 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(RangeError):
             list(enumerate_posets(6))
+
+    def test_matches_the_matrix_census(self, posets5):
+        for n in range(1, 5):
+            assert list(enumerate_posets(n)) == list(posets_by_matrix(n))
+        assert posets5 == list(posets_by_matrix(5))
+        assert len(posets5) == 4231
 
     def test_no_duplicates(self, posets4):
         seen = {(P.n, P.covers) for P in posets4}

@@ -501,7 +501,7 @@ def _expanded_sizes(monkeypatch):
     """The sizes of the ideals that the (ideal, last) walk expands from
     now on: those whose complements it asks P.minimal_elements for."""
     sizes = []
-    walk = extensions.fold_levels
+    walk = extensions.fold_extensions
 
     def counting_walk(P, *args):
         minimal = P.minimal_elements
@@ -513,7 +513,8 @@ def _expanded_sizes(monkeypatch):
         monkeypatch.setattr(P, "minimal_elements", counting)
         return walk(P, *args)
 
-    monkeypatch.setattr(extensions, "fold_levels", counting_walk)
+    monkeypatch.setattr(extensions, "fold_extensions", counting_walk)
+    monkeypatch.setattr(series, "fold_extensions", counting_walk)  # bound at import
     return sizes
 
 

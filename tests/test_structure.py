@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from ppart import (
     hasse_components,
     lemma41_predictions,
     mask_of,
+    members,
     nearly_principal,
     nontrivial_pairs,
     pi_fiber,
@@ -23,9 +25,9 @@ from ppart import (
     recipe_poset,
 )
 from ppart.fixtures import EX33, FIG1, FORB1, FORB2, FORB3, P1
-from ppart.structure import is_principal
+from ppart.structure import DisjointUnion, Duplicate, Hang, Leaf, _replay, is_principal
 
-from conftest import random_posets
+from conftest import random_fwd_poset, random_posets, replay_by_up_sets
 
 CHAIN3 = Poset(3, [(1, 2), (2, 3)])
 
@@ -83,6 +85,76 @@ class TestClassify:
                 again = classify(P, choose=choose)
                 assert isinstance(again, BuildRecipe)
                 assert again.duplication_set == base.duplication_set
+
+
+def retargeted(node):
+    """Each copy of a recipe tree with one Hang moved to the least other
+    element of its upper piece."""
+    if isinstance(node, Leaf):
+        return
+    if isinstance(node, DisjointUnion):
+        for i, part in enumerate(node.parts):
+            for moved in retargeted(part):
+                yield DisjointUnion(node.parts[:i] + (moved,) + node.parts[i + 1:])
+    elif isinstance(node, Hang):
+        others = [p for p in members(_replay(node.upper)[0]) if p != node.target]
+        if others:
+            yield dataclasses.replace(node, target=others[0])
+        for moved in retargeted(node.upper):
+            yield dataclasses.replace(node, upper=moved)
+        for moved in retargeted(node.lower):
+            yield dataclasses.replace(node, lower=moved)
+    else:
+        for moved in retargeted(node.child):
+            yield dataclasses.replace(node, child=moved)
+
+
+class TestReplay:
+    """`_replay` hands unclosed relations to `Poset`, against the replay
+    that closed the order itself with up-set dicts."""
+
+    @pytest.fixture(scope="class")
+    def fwd_posets(self, posets_to5):
+        rng = random.Random(26)
+        fwd = [P for P in posets_to5 if isinstance(classify(P), BuildRecipe)]
+        return fwd + [random_fwd_poset(rng, rng.randint(6, 12)) for _ in range(60)]
+
+    def test_replay_matches_up_sets(self, fwd_posets):
+        for P in fwd_posets:
+            recipe = classify(P)
+            assert isinstance(recipe, BuildRecipe)
+            assert recipe_poset(recipe) == P
+            mask, rel = _replay(recipe.root)
+            closed = Poset(P.n, rel)
+            assert mask == P.full_mask
+            assert replay_by_up_sets(recipe.root) == (
+                mask, {p: closed.up_strict(p) for p in range(1, P.n + 1)})
+
+    def test_retargeted_hang_is_caught(self, fwd_posets):
+        moved_any = 0
+        for P in fwd_posets:
+            for root in retargeted(classify(P).root):
+                moved_any += 1
+                try:
+                    rebuilt = recipe_poset(BuildRecipe(root, frozenset()))
+                except AssertionError:
+                    continue
+                assert rebuilt != P
+        assert moved_any > len(fwd_posets) // 2  # a chain or an antichain has none
+
+    def test_bad_recipes_raise(self):
+        with pytest.raises(AssertionError, match="disjoint union pieces overlap"):
+            _replay(DisjointUnion((Leaf(1), Leaf(1))))
+        with pytest.raises(AssertionError, match="hang pieces overlap"):
+            _replay(Hang(Leaf(1), 1, Leaf(1)))
+        with pytest.raises(AssertionError, match="hang target missing"):
+            _replay(Hang(Leaf(1), 3, Leaf(2)))
+        with pytest.raises(AssertionError, match="duplication hanger missing"):
+            _replay(Duplicate(Leaf(1), 2, 3))
+        with pytest.raises(AssertionError, match="duplicate label already present"):
+            _replay(Duplicate(Hang(Leaf(1), 1, Leaf(2)), 1, 2))
+        with pytest.raises(AssertionError, match="do not cover"):
+            recipe_poset(BuildRecipe(Hang(Leaf(1), 1, Leaf(3)), frozenset()))
 
 
 class TestNearlyPrincipal:
