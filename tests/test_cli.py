@@ -1,6 +1,7 @@
 import argparse
 import enum
 import io
+import itertools
 import json
 import os
 import random
@@ -387,6 +388,83 @@ class TestCappedNonForest:
         out, err = capsys.readouterr()
         assert (code, out) == (4, "")
         assert "|L(P)| >= 16 exceeds cap 10" in err
+
+
+class TestSelftestTable:
+    NAMES = (
+        "maj_equals_standard_series",
+        "duplication_product_equals_enumeration",
+        "hook_equals_maj",
+        "ci_tests_agree",
+        "initial_quotient_hilbert",
+        "koszul_inverse_nonnegative",
+        "forest_counts",
+    )
+    MAJ = ("maj_equals_standard_series",)
+    BOTH_MAJ = ("maj_equals_standard_series", "hook_equals_maj")
+    CAP10, CAP0, COMPLEX0 = ("--cap", "10"), ("--cap", "0"), ("--complex-cap", "0")
+    RUNS = list(itertools.product(
+        ("p1", "p2", "p3", "forb1", "forb2", "forb3", "bowtie", "ex33", "fig1"),
+        ((), CAP10, CAP0, COMPLEX0)))
+    # the rows these runs skipped before the table; --complex-cap 0 skips
+    # forest_counts on every fixture, every other row of every run passes
+    # and ok is true
+    SKIPPED = {
+        ("p1", CAP0): BOTH_MAJ,
+        ("forb1", CAP0): MAJ,
+        ("forb2", CAP10): MAJ, ("forb2", CAP0): MAJ,
+        ("forb3", CAP0): MAJ,
+        ("ex33", CAP0): MAJ,
+        ("fig1", CAP10): BOTH_MAJ, ("fig1", CAP0): BOTH_MAJ,
+    }
+
+    @staticmethod
+    def statuses(name, flags=()):
+        code, out = run_cli(["selftest", str(FIXTURES / f"{name}.poset"), *flags])
+        results = json.loads(out)["results"]
+        return code, [(c["name"], c["status"]) for c in results["identities"]], results["ok"]
+
+    @pytest.mark.parametrize("name,flags", [
+        pytest.param(name, flags, id="-".join((name, *(f.lstrip("-") for f in flags))))
+        for name, flags in RUNS])
+    def test_statuses(self, name, flags):
+        if flags == self.COMPLEX0:
+            skipped = ("forest_counts",)
+        else:
+            skipped = self.SKIPPED.get((name, flags), ())
+        expect = [(n, "skipped" if n in skipped else "pass") for n in self.NAMES]
+        assert self.statuses(name, flags) == (0, expect, True)
+
+    def test_maj_is_computed_once(self, monkeypatch):
+        calls = []
+        maj_polynomial = cli.maj_polynomial
+
+        def counting(P, cap):
+            calls.append(P)
+            return maj_polynomial(P, cap=cap)
+
+        monkeypatch.setattr(cli, "maj_polynomial", counting)
+        code, _, ok = self.statuses("fig1", ("--trunc", "6"))
+        assert (code, ok) == (0, True)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name,fwd,natural,engines", [
+        ("bowtie", True, False, ("count_by_size", "maj_polynomial", "hook_formula")),
+        ("forb3", False, True, ("duplication_product", "hook_formula")),
+    ], ids=["bowtie", "forb3"])
+    def test_guards_run_no_engine(self, monkeypatch, name, fwd, natural, engines):
+        P = fixture(name)
+        assert isinstance(cli.classify(P), cli.BuildRecipe) == fwd
+        assert cli.is_naturally_labelled(P) == natural
+
+        def unused(*args, **kwargs):
+            raise AssertionError("an engine ran for a row that does not apply")
+
+        for engine in engines:
+            monkeypatch.setattr(cli, engine, unused)
+        code, checks, ok = self.statuses(name, ("--trunc", "6"))
+        assert (code, ok) == (0, True)
+        assert checks == [(n, "pass") for n in self.NAMES]
 
 
 class TestPiListings:
