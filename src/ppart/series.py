@@ -17,17 +17,17 @@ Gradings accepted everywhere: "x-multi" (alias "x"), "(t,x)" ("tx"),
 "(t,q)" ("tq"), "q", and "t".  `_GRADINGS` gives the shape of each
 grading's series, and `_graded` is the one place that turns an ideal
 into a monomial of that shape.  Each grading has one counting engine,
-whatever the flavor: faces of the flag complex of Pi for t, Stanley's
-theorem for q, and for x, (t,x) and (t,q) the walk over chains of level
-ideals, whose monomial t^nu(f) x^f sums its levels' monomials.
+whatever the flavor: faces of the flag complex of Pi for t (`_flag_walk`,
+on candidate masks, which also weighs the multisets of the initial
+quotient), Stanley's theorem for q, and for x, (t,x) and (t,q) the walk
+over chains of level ideals, whose monomial sums its levels' monomials.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
-from functools import reduce
-from operator import or_
 
 from .errors import ArgError, CapError, InstabilityError, LabelError, NotFWDError
 from .extensions import fold_extensions, maj_coefficients
@@ -311,31 +311,54 @@ def _graded(P: Poset, grading: str, N: int):
     return out, codec, mono
 
 
-# -- trivially-intersecting multisets -----------------------------------
+# -- the flag complex of Pi, walked on candidate masks -------------------
 
 
-def _iter_trivial_multisets(P: Poset, N: int, faces: bool = False):
-    """Multisets of pairwise trivially-intersecting connected ideals of
-    total size at most N, an ideal weighing its number of elements; with
-    faces, the sets of at most N such ideals, each of multiplicity one:
-    the faces of the flag complex of Pi.
-
-    Yields tuples of (ideal mask, multiplicity), depth first from a stack
-    of open nodes.  order is sorted by size, so the first ideal over
-    budget ends a node's loop."""
-    order, clash = connected_ideals(P), clashes(P)
-    stack = [(0, N, (), 0)]  # (next index, budget, chosen, the clashes of chosen)
+def _flag_walk(P: Poset, N: int, values, root: int = 0, held=None):
+    """One depth-first walk over the flag complex of Pi.  A node carries
+    acc, cand and its budget, what is left of N; cand is the mask of the
+    higher-index connected ideals that clash with none it holds, and only
+    its set bits within the budget are visited.  Without held, the nodes
+    are the multisets of total size at most N, an ideal weighing its
+    number of elements; ideal i with multiplicity m adds m * values[i] to
+    acc, and the walk returns {acc: its nodes}.  With held, they are the
+    faces of fewer than N ideals (or the empty one), acc starts at root
+    and ideal i clears values[i] from it.  A node adds its children that
+    clear acc, popcount(cand & held(acc)), to counts[budget], and a node
+    of budget 2 adds its grandchildren that do to counts[1], unwalked: so
+    counts[b] is the number of faces of N + 1 - b ideals that clear root."""
+    conn, clash, faces = connected_ideals(P), clashes(P), held is not None
+    weight = [1 if faces else J.bit_count() for J in conn]
+    # conn is sorted by size, so the ideals that fit a budget b are a prefix
+    fits = [(1 << bisect_right(weight, b)) - 1 if b > faces else 0 for b in range(N + 1)]
+    free = [~c for c in clash]  # the ideals that do not clash with each
+    counts, stack = [0] * (N + 1) if faces else {}, [(root, (1 << len(conn)) - 1, N)]
     while stack:
-        idx, budget, chosen, blocked = stack.pop()
-        yield chosen
-        for i in range(idx, len(order)):
-            J = order[i]
-            w = 1 if faces else J.bit_count()
-            if w > budget:
-                break
-            if not blocked >> i & 1:
-                for m in range(1, (1 if faces else budget // w) + 1):
-                    stack.append((i + 1, budget - m * w, chosen + ((J, m),), blocked | clash[i]))
+        acc, cand, budget = stack.pop()
+        rest = cand & fits[budget]
+        if not faces:
+            counts[acc] = counts.get(acc, 0) + 1
+        else:
+            counts[budget] += (cand & held(acc) if acc else cand).bit_count()
+            if budget == 2:
+                last = 0
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    i = low.bit_length() - 1
+                    last += (rest & free[i] & (held(acc & ~values[i]) if acc else -1)).bit_count()
+                counts[1] += last
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            if faces:
+                stack.append((acc & ~values[i], rest & free[i], budget - 1))
+            else:
+                below, w, v = rest & free[i], weight[i], values[i]
+                stack.extend((acc + m * v, below, budget - m * w)
+                             for m in range(1, budget // w + 1))
+    return counts
 
 
 def _t_by_faces(P: Poset, flavor: str, N: int) -> dict:
@@ -349,36 +372,33 @@ def _t_by_faces(P: Poset, flavor: str, N: int) -> dict:
     the flavor drops strictly.  A face of i ideals carries C(k - 1, i - 1)
     multisets of size k, so with f_i the counted faces of size i, t^k has
     coefficient the sum of f_i C(k - 1, i - 1) (the Stanley-Reisner face
-    expansion); t^0 counts the empty face."""
-    faces = _iter_trivial_multisets(P, N, faces=True)
-    strict = _strict_covers(P, flavor)
-    if strict:  # a weak walk would only pay for the test
-        sep = {J: mask_of(k for k, (a, b) in enumerate(strict, 1)  # bit k - 1: the k-th cover
-                          if J >> (a - 1) & 1 and not J >> (b - 1) & 1)
-               for J in connected_ideals(P)}
-        if sum(sorted((s.bit_count() for s in sep.values()), reverse=True)[:N]) < len(strict):
-            return {}  # the N ideals separating the most covers miss one, so every face does
-        need = (1 << len(strict)) - 1
-        faces = (face for face in faces if reduce(or_, (sep[J] for J, _ in face), 0) == need)
-    sizes = Counter(map(len, faces))
-    coeffs = {(0, ()): 1} if sizes[0] else {}
-    for k in range(1, N + 1):
-        c = sum(f * math.comb(k - 1, i - 1) for i, f in sizes.items() if 0 < i <= k)
-        if c:
-            coeffs[(k, ())] = c
-    return coeffs
+    expansion); t^0 counts the empty face.  `_flag_walk` counts f_i for
+    i >= 1, the faces of N ideals by popcount."""
+    strict, conn = _strict_covers(P, flavor), connected_ideals(P)
+    sep = [mask_of(k for k, (a, b) in enumerate(strict, 1)  # bit k - 1: the k-th cover
+                   if J >> (a - 1) & 1 and not J >> (b - 1) & 1)
+           for J in conn] if strict else [0] * len(conn)
+    if sum(sorted((s.bit_count() for s in sep), reverse=True)[:N]) < len(strict):
+        return {}  # the N ideals separating the most covers miss one, so every face does
+    held = _memoized(lambda missing: mask_of(i for i, s in enumerate(sep, 1) if not missing & ~s))
+    counts = _flag_walk(P, N, sep, (1 << len(strict)) - 1, held)
+    sizes = [(i, f) for i, f in enumerate(counts[:0:-1], 1) if f]  # f counted faces of i ideals
+    coeffs = {(k, ()): sum(f * math.comb(k - 1, i - 1) for i, f in sizes if i <= k)
+              for k in range(1, N + 1)}
+    return {k: c for k, c in {(0, ()): int(not strict), **coeffs}.items() if c}
 
 
 def initial_quotient_hilbert(P: Poset, grading: str, N: int) -> TruncSeries:
     """Hilbert series of the quotient by the initial ideal, counted as
     trivially-intersecting multisets of connected ideals by total weight,
-    each of them one weak vector (the t grading by `_t_by_faces`)."""
+    each of them one weak vector (the t grading by `_t_by_faces`), by
+    `_flag_walk` with each multiset's packed monomial."""
     out, codec, mono = _graded(P, grading, N)
     if not out.nx:
         out.coeffs = _t_by_faces(P, WEAK, N)
     else:  # a multiset's weight is its vector's x degree, within the truncation
-        out.coeffs = codec.unpacked(Counter(sum(m * mono(J) for J, m in ms)
-                                            for ms in _iter_trivial_multisets(P, N)))
+        values = [mono(J) for J in connected_ideals(P) if J.bit_count() <= N]
+        out.coeffs = codec.unpacked(_flag_walk(P, N, values))
     return out
 
 

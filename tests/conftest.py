@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 from collections import Counter
-from operator import add
+from functools import reduce
+from operator import add, or_
 
 import pytest
 
@@ -13,6 +15,7 @@ from ppart import (
     enumerate_posets,
     hasse_components,
     lex_min_extension,
+    mask_of,
     members,
 )
 from ppart.partitions import (
@@ -343,6 +346,56 @@ def level_chains_by_tuples(P, flavor, N):
                         seen[B] = _multiset_vector(P.n, ((B, 1),)), len(hasse_components(P, B))
                     ind, c = seen[B]
                     stack.append((B, B_need, tuple(map(add, f, ind)), budget - size, nu_f + c))
+
+
+# -- the tuple walk and the face filter that `series._flag_walk` replaced --
+
+
+def trivial_multisets_by_tuples(P, N, faces=False):
+    """Multisets of pairwise trivially-intersecting connected ideals of
+    total size at most N, an ideal weighing its number of elements; with
+    faces, the sets of at most N such ideals, each of multiplicity one:
+    the faces of the flag complex of Pi.
+
+    Yields tuples of (ideal mask, multiplicity), depth first from a stack
+    of open nodes, each node scanning every later index of J_conn against
+    the clashes of its ideals.  order is sorted by size, so the first
+    ideal over budget ends a node's loop."""
+    order, clash = connected_ideals(P), clashes(P)
+    stack = [(0, N, (), 0)]  # (next index, budget, chosen, the clashes of chosen)
+    while stack:
+        idx, budget, chosen, blocked = stack.pop()
+        yield chosen
+        for i in range(idx, len(order)):
+            J = order[i]
+            w = 1 if faces else J.bit_count()
+            if w > budget:
+                break
+            if not blocked >> i & 1:
+                for m in range(1, (1 if faces else budget // w) + 1):
+                    stack.append((i + 1, budget - m * w, chosen + ((J, m),), blocked | clash[i]))
+
+
+def t_by_face_filter(P, flavor, N, faces=None):
+    """The t coefficients of the flavor, as TruncSeries keys, from the
+    listed faces of at most N ideals (`trivial_multisets_by_tuples` with
+    faces, listed here unless given): a face counts when its ideals
+    separate every cover along which the flavor drops strictly, and a
+    counted face of i ideals adds C(k - 1, i - 1) to t^k."""
+    if faces is None:
+        faces = trivial_multisets_by_tuples(P, N, faces=True)
+    strict = _strict_covers(P, flavor)
+    sep = {J: mask_of(k for k, (a, b) in enumerate(strict, 1)  # bit k - 1: the k-th cover
+                      if J >> (a - 1) & 1 and not J >> (b - 1) & 1)
+           for J in connected_ideals(P)}
+    need = (1 << len(strict)) - 1
+    sizes = Counter(len(face) for face in faces
+                    if len(face) <= N and reduce(or_, (sep[J] for J, _ in face), 0) == need)
+    coeffs = {(0, ()): 1} if sizes[0] else {}
+    for k in range(1, N + 1):
+        if c := sum(f * math.comb(k - 1, i - 1) for i, f in sizes.items() if 0 < i <= k):
+            coeffs[(k, ())] = c
+    return coeffs
 
 
 # -- the ideal-lattice walks that `poset._chain_levels` replaced ----------

@@ -62,7 +62,9 @@ CALLS = {
     "hilbert_truncated t": lambda: hilbert_truncated(FIG1, "weak", "t", 4),
     "hilbert_truncated tx": lambda: hilbert_truncated(FIG1, "weak", "tx", 6),
     "hilbert_truncated standard t": lambda: hilbert_truncated(FIG1, "standard", "t", 4),
+    "hilbert_truncated strict t": lambda: hilbert_truncated(FIG1, "strict", "t", 4),
     "initial_quotient_hilbert t": lambda: initial_quotient_hilbert(FIG1, "t", 4),
+    "initial_quotient_hilbert x": lambda: initial_quotient_hilbert(FIG1, "x", 6),
     "count_by_size": lambda: count_by_size(FIG1, "standard", 20),
     "numerator_polynomial": lambda: numerator_polynomial(FIG1, 20),
 }

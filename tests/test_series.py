@@ -5,6 +5,8 @@ import random
 import sys
 import time
 from collections import Counter
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -20,6 +22,7 @@ from ppart import (
     Poset,
     TruncSeries,
     ci_test_counts,
+    clashes,
     classify,
     connected_ideals,
     count_ideals,
@@ -57,8 +60,10 @@ from conftest import (
     plus_times,
     random_posets,
     specialized,
+    t_by_face_filter,
     t_series_by_walk,
     times_one_minus,
+    trivial_multisets_by_tuples,
     truncated,
     unpacked,
 )
@@ -901,10 +906,13 @@ def _hilbert_by_tuples(P, walk, grading, N):
     return out
 
 
-def _initial_quotient_by_tuples(P, grading, N):
+def _initial_quotient_by_tuples(P, grading, N, multisets=None):
+    """Every multiset's key from the tuple walk, listed here unless given."""
     out, key = graded_key(P, grading, N)
+    if multisets is None:
+        multisets = trivial_multisets_by_tuples(P, N)
     out.coeffs = dict(Counter(key(_multiset_vector(P.n, ms), sum(m for _, m in ms))
-                              for ms in series._iter_trivial_multisets(P, N)))
+                              for ms in multisets))
     return out
 
 
@@ -1046,11 +1054,13 @@ class TestTrivialMultisets:
     @pytest.mark.parametrize("P,N", [
         (FIG1, 6), (EX33, 5), (Poset(8, [(k // 2, k) for k in range(2, 9)]), 7),
     ])
-    def test_walk_stops_at_first_heavy_ideal(self, monkeypatch, P, N):
-        # J_conn is sorted by size, so a node of the weighted walk looks at
-        # the ideals after its last chosen one up to the first heavier
-        # than its budget, and no further.
-        order = connected_ideals(P)
+    def test_walk_stops_at_first_heavy_ideal(self, P, N):
+        # A node of the multiset walk looks only at the candidates within
+        # its budget (J_conn is sorted by size, so they end at the first
+        # heavier one), and each ideal it looks at makes at least one
+        # child.  So the walk looks at ideals fewer times than it has
+        # nodes, while its nodes have more candidates than that in all.
+        order, clash = connected_ideals(P), clashes(P)
         looked = []
 
         class Watched(list):
@@ -1058,16 +1068,16 @@ class TestTrivialMultisets:
                 looked.append(i)
                 return list.__getitem__(self, i)
 
-        monkeypatch.setattr(series, "connected_ideals", lambda Q: Watched(order))
-        bound = unpruned = 0
-        for ms in series._iter_trivial_multisets(P, N):
-            start = max((order.index(J) + 1 for J, _ in ms), default=0)
-            budget = N - sum(J.bit_count() * m for J, m in ms)
-            rest = [J.bit_count() for J in order[start:]]
-            light = sum(w <= budget for w in rest)
-            bound += light + (light < len(rest))
-            unpruned += len(rest)
-        assert len(looked) <= bound < unpruned
+        nodes = sum(series._flag_walk(P, N, Watched([0] * len(order))).values())
+        multisets = list(trivial_multisets_by_tuples(P, N))
+        index, full = {J: i for i, J in enumerate(order)}, (1 << len(order)) - 1
+        unpruned = 0
+        for ms in multisets:
+            start = max((index[J] + 1 for J, _ in ms), default=0)
+            blocked = reduce(or_, (clash[index[J]] for J, _ in ms), 0)
+            unpruned += (full >> start << start & ~blocked).bit_count()
+        assert nodes == len(multisets)
+        assert len(looked) < nodes < unpruned
 
 
 class TestFaceCount:
@@ -1109,13 +1119,12 @@ class TestFaceCount:
     @staticmethod
     def _no_walk(*args, **kwargs):
         raise AssertionError("a face was walked")
-        yield
 
     def test_cover_bound_against_the_walk(self, monkeypatch, posets_to5, t_walks):
         # the face count is empty at once, walking no face, when the N ideals
         # that separate the most strict covers miss one; the walk oracle must
         # find no vector there
-        monkeypatch.setattr(series, "_iter_trivial_multisets", self._no_walk)
+        monkeypatch.setattr(series, "_flag_walk", self._no_walk)
         fired = 0
         for P in posets_to5:
             deepest = {}  # flavor -> the largest N <= 4 at which the bound fires
@@ -1138,7 +1147,7 @@ class TestFaceCount:
     def test_cover_bound_ends_the_walk(self, monkeypatch):
         # root-at-top 18-tree: each connected ideal separates one of 17 covers
         tree = Poset(18, [(k, k // 2) for k in range(2, 19)])
-        monkeypatch.setattr(series, "_iter_trivial_multisets", self._no_walk)
+        monkeypatch.setattr(series, "_flag_walk", self._no_walk)
         for flavor in ("standard", "strict"):
             start = time.perf_counter()
             assert hilbert_truncated(tree, flavor, "t", 10).coeffs == {}
@@ -1157,6 +1166,64 @@ class TestFaceCount:
         for flavor, coeffs in expected.items():
             assert hilbert_truncated(P, flavor, "t", 6).coeffs == coeffs, flavor
         assert initial_quotient_hilbert(P, "t", 6).coeffs == expected["weak"]
+
+
+CLAW10 = Poset(10, [(1, k) for k in range(2, 11)])  # one element below nine others
+TREE18_BOTTOM = Poset(18, [(k // 2, k) for k in range(2, 19)])  # root-at-bottom binary tree
+
+
+class TestFlagWalk:
+    """`_flag_walk` in both modes against the tuple walk and the face
+    filter it replaced (`conftest.trivial_multisets_by_tuples`,
+    `t_by_face_filter`): the t series in every flavor and
+    `initial_quotient_hilbert` in every grading, on every poset with
+    n <= 5, the fixtures and seeded random posets.  Each oracle walks once,
+    at the deepest N: a truncated answer is exact up to its truncation."""
+
+    GRADINGS = ("x", "tx", "q", "tq")
+
+    def _check(self, P, Ns):
+        deepest = max(Ns)
+        faces = list(trivial_multisets_by_tuples(P, deepest, faces=True))
+        t = {flavor: t_by_face_filter(P, flavor, deepest, faces) for flavor in FLAVORS}
+        multisets = list(trivial_multisets_by_tuples(P, deepest))
+        x = {g: _initial_quotient_by_tuples(P, g, deepest, multisets) for g in self.GRADINGS}
+        for N in Ns:
+            want = {flavor: {k: c for k, c in coeffs.items() if k[0] <= N}
+                    for flavor, coeffs in t.items()}
+            for flavor in FLAVORS:
+                assert hilbert_truncated(P, flavor, "t", N).coeffs == want[flavor], (P, flavor, N)
+            assert initial_quotient_hilbert(P, "t", N).coeffs == want[WEAK], (P, N)
+            for g, series_ in x.items():
+                assert initial_quotient_hilbert(P, g, N) == truncated(series_, N), (P, g, N)
+
+    def test_every_small_poset(self, posets_to5):
+        for P in posets_to5:
+            self._check(P, (0, 1, 3, 5) if P.n <= 4 else (0, 1, 3))
+
+    def test_fixtures(self):
+        for P in FIXTURES:
+            self._check(P, (0, 1, 4, 6, 8))
+
+    def test_random_posets(self):
+        for P in random_posets(28, 40, (6, 7, 8)):
+            self._check(P, (0, 1, 4, 6))
+
+    # The coefficients were recorded with the tuple walk, which took about
+    # 3 s for each claw10 flavor and 28 s for tree18-bottom.  The mask walk
+    # takes 0.1-0.3 s for each on a shared 2-core host.
+    @pytest.mark.parametrize("P,flavor,N,want", [
+        (CLAW10, "weak", 4, [1, 512, 19683, 262144, 1953125]),
+        (CLAW10, "standard", 4, [1, 512, 19683, 262144, 1953125]),
+        (CLAW10, "strict", 4, [0, 1, 512, 19683, 262144]),
+        (TREE18_BOTTOM, "weak", 3, [1, 2106, 328782, 15125682]),
+    ], ids=["claw10-weak", "claw10-standard", "claw10-strict", "tree18-bottom-weak"])
+    def test_scale(self, P, flavor, N, want):
+        P = Poset(P.n, sorted(P.covers))  # J_conn and Pi are part of the call
+        start = time.perf_counter()
+        got = hilbert_truncated(P, flavor, "t", N).coeffs
+        assert time.perf_counter() - start < 2
+        assert got == {(k, ()): c for k, c in enumerate(want) if c}
 
 
 class TestInitialQuotient:
