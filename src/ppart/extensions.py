@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 from .errors import ExplosionError
 from .partitions import delta_data
-from .poset import (Poset, _chain_levels, _collector_paused, _memoized, hasse_components,
-                    mask_of, members)
+from .poset import (Poset, _chain_levels, _collector_paused, _Memo, hasse_components, mask_of,
+                    members)
 from .qpoly import QPolynomial
 
 DEFAULT_CAP = 10_000_000
@@ -67,9 +67,13 @@ def _capped_levels(P: Poset, cap: int):
     once the prefixes of one level outnumber cap, so does L(P):
     ExplosionError is raised there, before the next level is built, with
     that count as a lower bound (exact from level n - 1 on).  Level 0,
-    the empty prefix alone, is not checked."""
+    the empty prefix alone, is not checked.  A forest or its dual is
+    checked once instead, by its hooks, before the first level."""
+    hooks = _hook_count(P)
+    if hooks is not None:
+        _check_cap(hooks, cap)
     for k, level in enumerate(_chain_levels(P)):
-        if k:
+        if k and hooks is None:
             _check_cap(sum(level.values()), cap, "=" if k >= P.n - 1 else ">=")
         yield level
 
@@ -82,14 +86,6 @@ def _capped_levels(P: Poset, cap: int):
 _MAJ, _DES_P = 64, 80
 _DES_SET = (1 << _MAJ) - 1
 _FIELD = (1 << (_DES_P - _MAJ)) - 1
-
-
-class _DescentSets(dict):
-    """Des(w) as a bitmask -> its positions as a tuple, one per mask."""
-
-    def __missing__(self, mask: int) -> tuple[int, ...]:
-        positions = self[mask] = tuple(members(mask))
-        return positions
 
 
 @_collector_paused
@@ -114,12 +110,12 @@ def linear_extensions(P: Poset, cap: int = DEFAULT_CAP) -> list[LinearExtension]
         tails[:] = [(first, u, s & _DES_SET, s >> _MAJ & _FIELD, s >> _DES_P)
                     for first, u, s in tails]
     new = tuple.__new__  # skips the NamedTuple constructor's argument handling
-    des_sets = _DescentSets()
+    des_sets = _Memo(lambda mask: tuple(members(mask)))  # Des(w) as a bitmask -> its positions
     out = []
     for w, ideal, last, s in prefixes:
         tails = suffixes[ideal]
         cut = bisect_left(tails, (last,))  # the suffixes that begin below last
-        parts = ((tails[:cut], s + weighed(ideal)), (tails[cut:], s)) if cut else ((tails, s),)
+        parts = ((tails[:cut], s + weighed[ideal]), (tails[cut:], s)) if cut else ((tails, s),)
         for part, t in parts:
             d, maj, des_p = t & _DES_SET, t >> _MAJ & _FIELD, t >> _DES_P
             out += [new(LinearExtension, (w + u, des_sets[d | td], maj + tm, des_p + tc))
@@ -139,7 +135,7 @@ def _halves(P: Poset, weight, cap: int):
     as (first, u, sum) in lexicographic order of u, first being u's first
     element (n + 1 when u is empty).  weighed is weight, memoized.  So
     w + u is a linear extension, and its sum is the two halves' sums plus
-    weighed(I) when last > first.  The suffixes of I that begin below
+    weighed[I] when last > first.  The suffixes of I that begin below
     last are the first bisect_left(suffixes[I], (last,)).
 
     The prefixes grow from the empty one, each by its next elements p in
@@ -151,12 +147,8 @@ def _halves(P: Poset, weight, cap: int):
     prefixes as there are chains from the empty ideal to J, counted by
     `_capped_levels` under the cap before either half is built, and as
     many suffixes as there are chains from J to P, counted down from P
-    while the moves of each ideal are listed.  A forest or its dual is
-    counted by its hooks before any walk.
+    while the moves of each ideal are listed.
     """
-    hooks = _hook_count(P)
-    if hooks is not None:
-        _check_cap(hooks, cap)
     levels = list(_capped_levels(P, cap))  # the ideals of each size -> their number of prefixes
     full = P.full_mask
     moves = {}  # ideal -> [(p, ideal + p)] for p minimal in the rest
@@ -175,10 +167,10 @@ def _halves(P: Poset, weight, cap: int):
         sizes.append(listed)
     k = P.n - sizes.index(min(sizes))
 
-    weighed = _memoized(weight)
+    weighed = _Memo(weight)
     prefixes = [((), 0, 0, 0)]
     for _ in range(k):
-        prefixes = [(w + (p,), grown, p, s + weighed(ideal) if last > p else s)
+        prefixes = [(w + (p,), grown, p, s + weighed[ideal] if last > p else s)
                     for w, ideal, last, s in prefixes for p, grown in moves[ideal]]
     suffixes = {full: [(P.n + 1, (), 0)]}
     for level in reversed(levels[k:-1]):
@@ -189,7 +181,7 @@ def _halves(P: Poset, weight, cap: int):
                 tails = above[grown]
                 cut = bisect_left(tails, (p,))  # the suffixes that begin below p
                 if cut:
-                    s = weighed(grown)
+                    s = weighed[grown]
                     led += [(p, (p,) + u, t + s) for _, u, t in tails[:cut]]
                 led += [(p, (p,) + u, t) for _, u, t in tails[cut:]]
     return prefixes, suffixes, weighed

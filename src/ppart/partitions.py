@@ -17,7 +17,7 @@ from operator import add, or_
 from .errors import ArgError, FlavorError
 from .poset import (
     Poset,
-    _memoized,
+    _Memo,
     hasse_components,
     ideal_key,
     is_naturally_labelled,
@@ -61,15 +61,11 @@ def flavor_labelling(P: Poset, flavor: str) -> Poset:
 
 def satisfies(P: Poset, f, flavor: str) -> bool:
     _check_flavor(flavor)
-    return _classify(P, f) in FLAVORS[FLAVORS.index(flavor):]
+    return classify_map(P, f) in FLAVORS[FLAVORS.index(flavor):]
 
 
 def classify_map(P: Poset, f) -> str:
     """Most restrictive class among strict/standard/weak that f satisfies."""
-    return _classify(P, f)
-
-
-def _classify(P: Poset, f) -> str:
     cls = STRICT  # in one pass: f(a) = f(b) on a cover a < b rules out strict, standard if a > b
     for a, b in P.covers:
         if f[a - 1] < f[b - 1]:
@@ -80,7 +76,7 @@ def _classify(P: Poset, f) -> str:
 
 
 def is_standard(P: Poset, f) -> bool:
-    return classify_map(P, f) in (STRICT, STANDARD)
+    return satisfies(P, f, STANDARD)
 
 
 def nested_decomposition(P: Poset, f) -> list[int]:
@@ -218,7 +214,7 @@ def _levels(P: Poset, flavor: str, N: int) -> list[dict[int, int]]:
 def _level_chains(P: Poset, flavor: str, N: int, mono):
     """The monomial of each vector f of the flavor with |f| <= N, depth
     first from a stack of open chains of admissible steps (`_levels`): the
-    sum of mono(A) over the levels A_1, A_2, ... of f, in a `_Monomials`
+    sum of mono[A] over the levels A_1, A_2, ... of f, in a `_Monomials`
     codec; a chain ends when the step to 0 is admissible."""
     levels = _levels(P, flavor, N)
     stack = [(P.full_mask, levels[-1][P.full_mask], 0, N)] if N >= 0 else []
@@ -229,14 +225,14 @@ def _level_chains(P: Poset, flavor: str, N: int, mono):
         for size, level in enumerate(levels[1:budget + 1], 1):
             for B, B_need in level.items():
                 if not B & ~A and not need & ~B:
-                    stack.append((B, B_need, f + mono(B), budget - size))
+                    stack.append((B, B_need, f + mono[B], budget - size))
 
 
 def enumerate_partitions(P: Poset, flavor: str, max_total: int):
     """All vectors of the given flavor with entry-sum <= max_total, in
     lexicographic order: the chains of level ideals of `_level_chains`."""
     fields = _Monomials(P.n, max_total)
-    mono = _memoized(lambda B: sum(fields.units[p - 1] for p in members(B)))
+    mono = _Memo(lambda B: sum(fields.units[p - 1] for p in members(B)))
     return sorted(fields.unpack(f)[1] for f in _level_chains(P, flavor, max_total, mono))
 
 

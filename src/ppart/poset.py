@@ -62,19 +62,20 @@ def _collector_paused(fn):
     return paused
 
 
-def _memoized(fn):
-    """fn of one hashable argument, each value computed once and kept in
-    a dict.  One closure, cheaper to build than `functools.cache`, for
-    the per-call memos of one poset's ideals; it forms no cycle."""
-    memo = {}
+class _Memo(dict):
+    """fn of one hashable key, read as memo[key]: each value, falsy ones
+    included, is computed once on its first miss and kept, so a hit is a
+    dict lookup.  For the per-call memos of one poset's ideals and masks;
+    it forms no cycle unless fn refers to the memo."""
 
-    def memoized(key):
-        found = memo.get(key)
-        if found is None:
-            found = memo[key] = fn(key)
-        return found
+    __slots__ = ("fn",)
 
-    return memoized
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def ideal_key(mask: int) -> tuple[int, int]:
@@ -85,7 +86,7 @@ def ideal_key(mask: int) -> tuple[int, int]:
 class Poset:
     """A partial order on {1..n}, stored via covers plus reachability masks.
 
-    J_conn, its clash masks and the default classification are computed
+    J_conn, its clash masks and the classification are computed
     on first use and kept on the instance (see connected_ideals, clashes
     and structure.classify).  None of them walks the ideal lattice J(P).
     """

@@ -69,9 +69,9 @@ class Presentation(NamedTuple):
         intersection is connected and the graded ideal is the toric one."""
         return all(g.rhs for g in self.graded)
 
-    def rendered(self, name=var_name) -> tuple[list[str], ...]:
+    def rendered(self) -> tuple[list[str], ...]:
         """The toric, graded and initial generators as strings."""
-        return self._render(self._names(name))
+        return self._render(self._names(var_name))
 
     def _names(self, name) -> dict[int, str]:
         """Each connected ideal's variable name, in J_conn order.  Every
@@ -214,7 +214,7 @@ def semigroup_ideal(P: Poset, cap: int = DEFAULT_CAP) -> SemigroupIdealData:
         cut = bisect_left(tails, (last,))  # the suffixes that begin below last
         ends = {v for _, _, v in tails[cut:]}
         if cut:
-            junction = weighed(ideal)
+            junction = weighed[ideal]
             ends.update([v + junction for _, _, v in tails[:cut]])
         for a in vectors:
             packed.update([a + b for b in ends])

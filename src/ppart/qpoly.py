@@ -100,20 +100,24 @@ class QPolynomial:
         return QPolynomial(tuple(quot))
 
     def times_q_int(self, m: int) -> "QPolynomial":
-        """self * [m]_q (m >= 1) by a running window sum: coefficient d of
-        the product is the sum of coefficients d - m + 1 .. d of self."""
+        """self * [m]_q by a running window sum: coefficient d of the
+        product is the sum of coefficients d - m + 1 .. d of self."""
+        if m < 1:  # the dense product, which raises as q_int(m) for m < 0
+            return self * q_int(m)
         sums = list(accumulate(self.coeffs + (0,) * (m - 1)))
         return QPolynomial(sums[:m] + list(map(sub, sums[m:], sums)))
 
     def over_q_int(self, m: int) -> "QPolynomial":
-        """self / [m]_q (m >= 1), exact, as `exact_div(q_int(m))` but in
-        O(degree).
+        """self / [m]_q, exact, as `exact_div(q_int(m))` (called for m < 1,
+        so it raises there as that does) but in O(degree).
 
         With b = self, the quotient a satisfies a(1 - q^m) = b(1 - q), so
         a_d = a_{d-m} + b_d - b_{d-1}: m interleaved running sums of the
         differences of b.  The m terms of that recurrence past the
         quotient's degree are all zero exactly when [m]_q divides b (from
         there on it only repeats them); otherwise RemainderError."""
+        if m < 1:
+            return self.exact_div(q_int(m))
         b = self.coeffs
         if self.is_zero():
             return QPolynomial.zero()

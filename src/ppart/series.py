@@ -41,7 +41,7 @@ from .partitions import (
 )
 from .poset import (
     Poset,
-    _memoized,
+    _Memo,
     clashes,
     connected_ideals,
     hasse_components,
@@ -298,7 +298,7 @@ def _over_one_minus(c, m, codec, shift=False):
 
 def _graded(P: Poset, grading: str, N: int):
     """The empty series of a grading, truncated at N >= 0, its codec, and
-    mono(I) = t^c(I) x^I packed, for an ideal I of c(I) Hasse components."""
+    mono[I] = t^c(I) x^I packed, for an ideal I of c(I) Hasse components."""
     if N < 0:
         raise ArgError(f"negative truncation {N}")
     has_t, xnames = _GRADINGS[normalize_grading(grading)]
@@ -306,8 +306,8 @@ def _graded(P: Poset, grading: str, N: int):
     out, codec = TruncSeries(nx, N, has_t, xnames=xnames), _Monomials(nx, N)
     # x^I is the product of an x per element of I: its own for x, the q for q, 1 for t
     unit = codec.units if xnames is None else (sum(codec.units),) * P.n
-    mono = _memoized(lambda I: (len(hasse_components(P, I)) << codec.top if has_t else 0)
-                     + sum(unit[p - 1] for p in members(I)))
+    mono = _Memo(lambda I: (len(hasse_components(P, I)) << codec.top if has_t else 0)
+                 + sum(unit[p - 1] for p in members(I)))
     return out, codec, mono
 
 
@@ -324,7 +324,7 @@ def _flag_walk(P: Poset, N: int, values, root: int = 0, held=None):
     acc, and the walk returns {acc: its nodes}.  With held, they are the
     faces of fewer than N ideals (or the empty one), acc starts at root
     and ideal i clears values[i] from it.  A node adds its children that
-    clear acc, popcount(cand & held(acc)), to counts[budget], and a node
+    clear acc, popcount(cand & held[acc]), to counts[budget], and a node
     of budget 2 adds its grandchildren that do to counts[1], unwalked: so
     counts[b] is the number of faces of N + 1 - b ideals that clear root."""
     conn, clash, faces = connected_ideals(P), clashes(P), held is not None
@@ -339,14 +339,14 @@ def _flag_walk(P: Poset, N: int, values, root: int = 0, held=None):
         if not faces:
             counts[acc] = counts.get(acc, 0) + 1
         else:
-            counts[budget] += (cand & held(acc) if acc else cand).bit_count()
+            counts[budget] += (cand & held[acc] if acc else cand).bit_count()
             if budget == 2:
                 last = 0
                 while rest:
                     low = rest & -rest
                     rest ^= low
                     i = low.bit_length() - 1
-                    last += (rest & free[i] & (held(acc & ~values[i]) if acc else -1)).bit_count()
+                    last += (rest & free[i] & (held[acc & ~values[i]] if acc else -1)).bit_count()
                 counts[1] += last
         while rest:
             low = rest & -rest
@@ -380,7 +380,7 @@ def _t_by_faces(P: Poset, flavor: str, N: int) -> dict:
            for J in conn] if strict else [0] * len(conn)
     if sum(sorted((s.bit_count() for s in sep), reverse=True)[:N]) < len(strict):
         return {}  # the N ideals separating the most covers miss one, so every face does
-    held = _memoized(lambda missing: mask_of(i for i, s in enumerate(sep, 1) if not missing & ~s))
+    held = _Memo(lambda missing: mask_of(i for i, s in enumerate(sep, 1) if not missing & ~s))
     counts = _flag_walk(P, N, sep, (1 << len(strict)) - 1, held)
     sizes = [(i, f) for i, f in enumerate(counts[:0:-1], 1) if f]  # f counted faces of i ideals
     coeffs = {(k, ()): sum(f * math.comb(k - 1, i - 1) for i, f in sizes if i <= k)
@@ -397,7 +397,7 @@ def initial_quotient_hilbert(P: Poset, grading: str, N: int) -> TruncSeries:
     if not out.nx:
         out.coeffs = _t_by_faces(P, WEAK, N)
     else:  # a multiset's weight is its vector's x degree, within the truncation
-        values = [mono(J) for J in connected_ideals(P) if J.bit_count() <= N]
+        values = [mono[J] for J in connected_ideals(P) if J.bit_count() <= N]
         out.coeffs = codec.unpacked(_flag_walk(P, N, values))
     return out
 
@@ -458,13 +458,13 @@ def rational_sum_truncated(P: Poset, grading: str, N: int) -> TruncSeries:
     out, codec, mono = _graded(P, grading, N)
 
     def step(term, prefix, descent):
-        return _over_one_minus(term, mono(prefix), codec, shift=descent) if prefix else term
+        return _over_one_minus(term, mono[prefix], codec, shift=descent) if prefix else term
 
     # every factor has nonnegative coefficients, so no sum cancels to zero
     total = fold_extensions(P, {0: 1}, step,
                             lambda a, b: {**a, **{k: a.get(k, 0) + v for k, v in b.items()}},
                             min(P.n, N + 1) if out.nx else P.n)
-    out.coeffs = codec.unpacked(_over_one_minus(total, mono(P.full_mask), codec))
+    out.coeffs = codec.unpacked(_over_one_minus(total, mono[P.full_mask], codec))
     return out
 
 
@@ -517,7 +517,7 @@ def _flag_numerator(P: Poset, D: int) -> TruncSeries:
     conn = connected_ideals(P)  # vertex j is conn[j - 1], bit j - 1 of S
     clash = (0,) + clashes(P)
     out, codec, mono = _graded(P, "tx", D)
-    m = [None] + [mono(J) for J in conn]  # m[j] = m_J
+    m = [None] + [mono[J] for J in conn]  # m[j] = m_J
     memo = {0: {0: 1}}
 
     def g(S):
@@ -579,11 +579,9 @@ def hook_count(P: Poset) -> int:
     return numer // denom
 
 
-def _require_fwd(P: Poset):
-    result = classify(P)
-    if not isinstance(result, BuildRecipe):
+def _require_fwd(P: Poset) -> None:
+    if not isinstance(classify(P), BuildRecipe):
         raise NotFWDError("poset is not a forest with duplications")
-    return result
 
 
 def duplication_product(P: Poset, classification, grading: str,
@@ -596,9 +594,9 @@ def duplication_product(P: Poset, classification, grading: str,
     out, codec, mono = _graded(P, grading, N)
     c = {0: 1}
     for pr in nontrivial_pairs(P):
-        c = _times_one_minus(c, mono(pr.j1) + mono(pr.j2), codec)
+        c = _times_one_minus(c, mono[pr.j1] + mono[pr.j2], codec)
     for J in connected_ideals(P):
-        c = _over_one_minus(c, mono(J), codec)
+        c = _over_one_minus(c, mono[J], codec)
     out.coeffs = codec.unpacked(c)
     return out
 

@@ -227,21 +227,15 @@ def forbidden_scan(P: Poset):
 # -- classification -----------------------------------------------------
 
 
-def classify(P: Poset, choose=min):
-    """Decompose P as a forest with duplications, or return a Witness.
-
-    choose picks among candidate elements (smallest label by default);
-    any choice must yield the same duplication set.  The default-choice
-    result is computed once per Poset object.
-    """
-    if choose is not min:
-        return _classify(P, choose)
+def classify(P: Poset):
+    """Decompose P as a forest with duplications, or return a Witness; once per Poset."""
     if P._classification is None:
         P._classification = _classify(P, min)
     return P._classification
 
 
 def _classify(P: Poset, choose):
+    """`classify` with choose picking among candidates: any choice gives one duplication set."""
     bad = _find_bad_ideal(P)
     if bad is not None:
         fiber = pi_fiber(P, bad)

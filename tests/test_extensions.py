@@ -49,6 +49,19 @@ SHAPES = [Poset(6, [(k, k + 1) for k in range(1, 6)]), Poset(6), Poset(7), ANTIC
           BIPARTITE44]
 
 
+def random_forests(seed, count, upward):
+    """count random forests of 6 to 10 elements, in which every element has
+    at most one upper cover (upward) or at most one lower cover."""
+    rng = random.Random(seed)
+    forests = []
+    for _ in range(count):
+        n = rng.randrange(6, 11)
+        label = rng.sample(range(1, n + 1), n)
+        edges = [(label[k], label[rng.randrange(k)]) for k in range(1, n) if rng.random() < 0.8]
+        forests.append(Poset(n, [(a, b) if upward else (b, a) for a, b in edges]))
+    return forests
+
+
 class TestEnumeration:
     def test_ex33(self):
         exts = linear_extensions(EX33)
@@ -149,13 +162,7 @@ class TestCount:
     def test_forests_skip_the_ideal_walk(self, upward, monkeypatch):
         # random forests (every element has at most one upper cover, or
         # at most one lower cover) are counted by the hook length formula
-        rng = random.Random(67 + upward)
-        forests = []
-        for _ in range(40):
-            n = rng.randrange(6, 11)
-            label = rng.sample(range(1, n + 1), n)
-            edges = [(label[k], label[rng.randrange(k)]) for k in range(1, n) if rng.random() < 0.8]
-            forests.append(Poset(n, [(a, b) if upward else (b, a) for a, b in edges]))
+        forests = random_forests(67 + upward, 40, upward)
         expect = [_count_by_ideals(P) for P in forests]
 
         def walk(P):
@@ -324,7 +331,7 @@ class TestFoldOracle:
         def unreachable(*args):
             raise AssertionError("built a half past the cap")
 
-        monkeypatch.setattr(ppart.extensions, "_memoized", unreachable)
+        monkeypatch.setattr(ppart.extensions, "_Memo", unreachable)
         for fn in (semigroup_ideal, linear_extensions):
             with pytest.raises(ExplosionError, match=r"^\|L\(P\)\| = 300 exceeds cap 299$"):
                 fn(FIG1, cap=299)
@@ -380,6 +387,24 @@ class TestFoldOracle:
         for fn in (maj_polynomial, semigroup_ideal, linear_extensions):
             with pytest.raises(ExplosionError, match=r"^\|L\(P\)\| >= 16 exceeds cap 10$"):
                 fn(P, cap=10)
+
+    def test_a_capped_forest_is_counted_by_its_hooks(self, monkeypatch):
+        # a forest or its dual is checked once by its hook count, the
+        # exact |L(P)|, before the ideal lattice is walked at all
+        forests = random_forests(71, 10, True)
+        forests += [Poset(P.n, [(b, a) for a, b in P.covers]) for P in forests]
+        hooks = [count_extensions(P) for P in forests]
+
+        def walk(P):
+            raise AssertionError("walked the ideal lattice of a capped forest")
+
+        monkeypatch.setattr(ppart.extensions, "_chain_levels", walk)
+        for P, count in zip(forests, hooks):
+            for cap in {0, count - 1}:
+                for fn in (linear_extensions, semigroup_ideal, maj_polynomial):
+                    with pytest.raises(ExplosionError,
+                                       match=rf"^\|L\(P\)\| = {count} exceeds cap {cap}$"):
+                        fn(P, cap=cap)
 
     def test_maj_at_scale(self):
         assert maj_polynomial(Poset(10, [])) == q_factorial(10)

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import importlib
 import itertools
+import weakref
 
 import pytest
 
@@ -34,7 +35,7 @@ from ppart import (
     trivially_intersecting,
 )
 from ppart.fixtures import EX33, FIG1, FORB1, FORB3, P1, P2, P3
-from ppart.poset import _collector_paused, ideal_key
+from ppart.poset import _collector_paused, _Memo, ideal_key
 
 CHAIN3 = Poset(3, [(1, 2), (2, 3)])
 ANTICHAIN3 = Poset(3, [])
@@ -459,3 +460,41 @@ class TestCollectorPause:
             fn = getattr(importlib.import_module(module), name)
             assert (fn.__name__, fn.__module__) == (name, module)
             assert fn.__wrapped__.__name__ == name
+
+
+class TestMemo:
+    """`poset._Memo`, the per-call memo of the walks: fn runs once per
+    key, a hit calls nothing, and falsy values are kept like any other."""
+
+    def test_once_per_key(self):
+        calls = []
+        memo = _Memo(lambda key: calls.append(key) or key % 3)
+        assert [memo[k] for k in (4, 5, 4, 6, 5, 6, 3)] == [1, 2, 1, 0, 2, 0, 0]
+        assert calls == [4, 5, 6, 3]
+        assert memo == {4: 1, 5: 2, 6: 0, 3: 0}
+
+    def test_a_hit_calls_nothing(self):
+        memo = _Memo(lambda key: key + 1)
+        assert memo[1] == 2
+        memo.fn = None  # calling it now would raise TypeError
+        assert memo[1] == 2
+
+    @pytest.mark.parametrize("falsy", [0, None], ids=["zero", "none"])
+    def test_a_falsy_value_is_stored_once(self, falsy):
+        calls = []
+        memo = _Memo(lambda key: calls.append(key) or falsy)
+        assert memo[7] is falsy and memo[7] is falsy
+        assert calls == [7] and memo == {7: falsy}
+
+    def test_freed_without_the_collector(self):
+        class Value:
+            pass
+
+        gc.disable()
+        try:
+            memo = _Memo(lambda key: Value())
+            held = weakref.ref(memo[0])
+            del memo
+            assert held() is None  # no cycle kept the memo or its value alive
+        finally:
+            gc.enable()

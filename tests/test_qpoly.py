@@ -60,7 +60,10 @@ class TestDivision:
 
 class TestQIntKernels:
     """The window multiply and divide by [m]_q against the dense product
-    and long division, on random integer polynomials and m = 1..25."""
+    and long division, on random integer polynomials and m = 1..25, and
+    at m = -3, -1 and 0, where each returns or raises what those do."""
+
+    OUTSIDE = (-3, -1, 0)
 
     @staticmethod
     def _polys(seed):
@@ -73,8 +76,14 @@ class TestQIntKernels:
 
     def test_times_matches_product(self):
         for a in self._polys(1):
-            for m in range(1, 26):
-                assert a.times_q_int(m) == a * q_int(m), (a, m)
+            for m in (*self.OUTSIDE, *range(1, 26)):
+                try:
+                    want = a * q_int(m)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=str(exc)):
+                        a.times_q_int(m)
+                else:
+                    assert a.times_q_int(m) == want, (a, m)
 
     def test_over_inverts_times(self):
         for a in self._polys(2):
@@ -92,13 +101,14 @@ class TestQIntKernels:
                 b = list((a * q_int(m)).coeffs)
                 b[rng.randrange(len(b))] += rng.choice((-1, 1))
                 cases += [(QPolynomial(tuple(b)), m), (a, m)]
+            cases += [(a, m) for m in self.OUTSIDE]
         raised = 0
         for b, m in cases:
             try:
                 want = b.exact_div(q_int(m))
-            except RemainderError as exc:
+            except (RemainderError, ValueError, ZeroDivisionError) as exc:
                 raised += 1
-                with pytest.raises(RemainderError, match=str(exc)):
+                with pytest.raises(type(exc), match=str(exc)):
                     b.over_q_int(m)
             else:
                 assert b.over_q_int(m) == want, (b, m)

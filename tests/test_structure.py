@@ -25,7 +25,7 @@ from ppart import (
     recipe_poset,
 )
 from ppart.fixtures import EX33, FIG1, FORB1, FORB2, FORB3, P1
-from ppart.structure import DisjointUnion, Duplicate, Hang, Leaf, _replay, is_principal
+from ppart.structure import DisjointUnion, Duplicate, Hang, Leaf, _classify, _replay, is_principal
 
 from conftest import random_fwd_poset, random_posets, replay_by_up_sets
 
@@ -82,7 +82,7 @@ class TestClassify:
             if not isinstance(base, BuildRecipe):
                 continue
             for _ in range(3):
-                again = classify(P, choose=choose)
+                again = _classify(P, choose)
                 assert isinstance(again, BuildRecipe)
                 assert again.duplication_set == base.duplication_set
 
@@ -332,20 +332,3 @@ class TestPerPosetFacts:
         for Q in (FIG1, EX33):
             P = Poset(Q.n, Q.covers)
             assert classify(P) is classify(P)
-
-    def test_custom_choose_bypasses_the_cache(self):
-        calls = []
-
-        def choose(options):
-            calls.append(options)
-            return max(options)
-
-        P = Poset(FIG1.n, FIG1.covers)
-        custom = classify(P, choose=choose)
-        base = classify(P)
-        assert base is not custom  # the custom result was not stored
-        calls.clear()
-        again = classify(P, choose=choose)
-        assert calls and again is not base  # nor is the stored one read
-        assert again.duplication_set == base.duplication_set
-        assert classify(P) is base
