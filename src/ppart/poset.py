@@ -374,8 +374,11 @@ class PiPair(NamedTuple):
 
     j1: int
     j2: int
-    union: int
     intersection_components: tuple[int, ...]
+
+    @property
+    def union(self) -> int:
+        return self.j1 | self.j2
 
     @property
     def intersection(self) -> int:
@@ -390,7 +393,7 @@ def trivially_intersecting(j1: int, j2: int) -> bool:
 
 def nontrivial_pairs(P: Poset) -> list[PiPair]:
     """The set Pi(P): unordered pairs of connected ideals that are
-    neither disjoint nor nested, with union/intersection data filled,
+    neither disjoint nor nested, each with its intersection's components,
     ordered by (ideal_key(j1), ideal_key(j2))."""
     return pairs_among(P, connected_ideals(P))
 
@@ -411,7 +414,7 @@ def pairs_among(P: Poset, conn) -> list[PiPair]:
             comps = components.get(inter)
             if comps is None:
                 comps = components[inter] = tuple(hasse_components(P, inter))
-            out.append(new(PiPair, (j1, j2, j1 | j2, comps)))
+            out.append(new(PiPair, (j1, j2, comps)))
     return out
 
 

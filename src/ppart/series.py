@@ -50,7 +50,7 @@ from .poset import (
     members,
     nontrivial_pairs,
 )
-from .qpoly import QPolynomial, q_factorial
+from .qpoly import QPolynomial
 from .structure import BuildRecipe, classify
 
 DEFAULT_TRUNC = 12
@@ -555,15 +555,21 @@ def _hook_sizes(P: Poset):
 def hook_formula(P: Poset) -> QPolynomial:
     """[n]!_q * prod over pairs [|J1|+|J2|]_q / prod over ideals [|J|]_q,
     by window sums and exact division (`QPolynomial.times_q_int`,
-    `over_q_int`); equals the maj generating polynomial."""
+    `over_q_int`) after the factors on both sides cancel; equals the maj
+    generating polynomial.  Dividing after every product stays exact: no
+    cyclotomic factor is in more of the denominator than of the numerator."""
     if not is_naturally_labelled(P):
         raise LabelError("the q hook formula needs a natural labelling")
     _require_fwd(P)
     pairs, ideals = _hook_sizes(P)
-    out = q_factorial(P.n)
-    for size in pairs:
+    numer = Counter(range(2, P.n + 1))
+    numer.update(pairs)
+    denom = Counter(ideals)
+    del denom[1]  # [1]_q = 1
+    out = QPolynomial.one()
+    for size in (numer - denom).elements():
         out = out.times_q_int(size)
-    for size in ideals:
+    for size in (denom - numer).elements():
         out = out.over_q_int(size)
     return out
 

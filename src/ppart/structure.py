@@ -192,7 +192,7 @@ def pi_fiber(P: Poset, J: int) -> list[PiPair]:
     in Pi order.  Both members of such a pair lie inside J, so only the
     connected ideals inside J are paired."""
     inside = [K for K in connected_ideals(P) if not K & ~J]
-    return [pr for pr in pairs_among(P, inside) if pr.union == J]
+    return [pr for pr in pairs_among(P, inside) if pr.j1 | pr.j2 == J]
 
 
 def _find_bad_ideal(P: Poset):

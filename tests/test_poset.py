@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import importlib
 import itertools
+import tracemalloc
 import weakref
 
 import pytest
@@ -205,8 +206,10 @@ class TestPairs:
     def test_chain_has_none(self):
         assert nontrivial_pairs(CHAIN3) == []
 
-    def test_pair_invariants(self, posets4):
-        for P in posets4:
+    def test_pair_invariants(self, posets3, posets4):
+        assert PiPair._fields == ("j1", "j2", "intersection_components")
+        small = [P for n in (1, 2) for P in enumerate_posets(n)] + posets3 + posets4
+        for P in small:
             conn = set(connected_ideals(P))
             for pr in nontrivial_pairs(P):
                 assert pr.j1 in conn and pr.j2 in conn
@@ -241,11 +244,26 @@ class TestPairs:
         assert len(new) == len(old)
         for pr, ref in zip(new, old):
             assert isinstance(pr, PiPair)
-            assert dataclasses.astuple(ref) == tuple(pr)
+            assert tuple(pr) == (ref.j1, ref.j2, ref.intersection_components)
             assert (pr.j1, pr.j2, pr.union, pr.intersection_components,
                     pr.intersection) == (ref.j1, ref.j2, ref.union,
                                          ref.intersection_components,
                                          ref.intersection)
+
+    def test_record_size(self):
+        # About 81 bytes a pair (record and list slot); a stored union int
+        # as a fourth field would bring it to about 121.
+        connected_ideals(TREE14)  # J_conn is kept on the poset: not a pair's cost
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pairs = nontrivial_pairs(TREE14)
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 64536
+        assert size <= 96 * len(pairs), size / len(pairs)
 
     def test_record_is_immutable(self):
         pr = nontrivial_pairs(EX33)[0]

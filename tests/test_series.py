@@ -20,6 +20,7 @@ from ppart import (
     LabelError,
     NotFWDError,
     Poset,
+    QPolynomial,
     TruncSeries,
     ci_test_counts,
     clashes,
@@ -58,6 +59,7 @@ from conftest import (
     packed,
     plus,
     plus_times,
+    random_fwd_poset,
     random_posets,
     specialized,
     t_by_face_filter,
@@ -68,7 +70,7 @@ from conftest import (
     unpacked,
 )
 from ppart import extensions, partitions, series
-from ppart.extensions import DEFAULT_CAP
+from ppart.extensions import DEFAULT_CAP, maj_coefficients
 from ppart.fixtures import BOWTIE, EX33, FIG1, FORB1, FORB2, FORB3, P1, P2, P3
 from ppart.partitions import FLAVORS, WEAK, _Monomials, _multiset_vector, _strict_covers
 from ppart.series import (
@@ -768,6 +770,17 @@ class TestHook:
         assert hook_count(P3) == 2
         with pytest.raises(LabelError):
             hook_formula(P3)
+
+    def test_cancelled_factors_match_maj_fold(self, posets3, posets4, posets5):
+        # The factors shared by numerator and denominator cancel before any
+        # product; the quotient must still be the maj generating polynomial.
+        small = [P for n in (1, 2) for P in enumerate_posets(n)] + posets3 + posets4 + posets5
+        rng = random.Random(30)
+        forests = [random_fwd_poset(rng, n) for n in range(6, 13) for _ in range(4)]
+        for P in [P for P, _ in _fwd(small)] + forests:
+            Q, _ = natural_relabel(P)
+            want = QPolynomial(maj_coefficients(Q, Q.n * (Q.n - 1) // 2))
+            assert hook_formula(Q) == want, P
 
     def test_not_fwd(self):
         with pytest.raises(NotFWDError):
