@@ -25,7 +25,7 @@ import time
 
 from . import errors
 from .complexes import DEFAULT_VERTEX_CAP, forest_consistency
-from .extensions import DEFAULT_CAP, linear_extensions, maj_polynomial
+from .extensions import DEFAULT_CAP, linear_extensions, maj_coefficients, maj_polynomial
 from .partitions import FLAVORS, STANDARD, WEAK, count_by_size, delta_data
 from .poset import (
     connected_ideals,
@@ -36,14 +36,16 @@ from .poset import (
     parse_poset,
 )
 from .presentation import hibi_check, presentation_of, semigroup_ideal
+from .qpoly import QPolynomial, _q_product
 from .series import (
     DEFAULT_TRUNC,
+    _koszul_walk,
+    _stanley_q,
     duplication_product,
     hilbert_truncated,
     hook_count,
     hook_formula,
     initial_quotient_hilbert,
-    koszul_inverse,
     normalize_grading,
 )
 from .structure import BuildRecipe, ci_test_counts, ci_test_ideals, classify
@@ -248,22 +250,21 @@ def _cmd_selftest(P, args):
         # level ideals, not by hilbert_truncated (which computes them
         # from maj), times (1 - q)(1 - q^2)...(1 - q^n), up to the
         # degree of maj.
-        c = count_by_size(P, STANDARD, W.degree)
-        for i in range(1, P.n + 1):
-            for d in range(W.degree, i - 1, -1):
-                c[d] -= c[d - i]
+        c = _q_product(count_by_size(P, STANDARD, W.degree), times=range(1, P.n + 1))
         return tuple(c) == W.coeffs
 
-    # (name, applies, check): a row that does not apply passes unrun
+    # (name, applies, check): a row that does not apply passes unrun.  A
+    # formula that maj() or a series takes is checked against a named walk.
     table = [
         ("maj_equals_standard_series", natural, maj_vs_standard),
         ("duplication_product_equals_enumeration", fwd,
-         lambda: duplication_product(P, recipe, "q", N) == hilbert_truncated(P, WEAK, "q", N)),
-        ("hook_equals_maj", fwd and natural, lambda: hook_formula(P) == maj()),
+         lambda: duplication_product(P, recipe, "q", N).coeffs == _stanley_q(P, WEAK, N)),
+        ("hook_equals_maj", fwd and natural,
+         lambda: maj() == QPolynomial(maj_coefficients(P, P.n * (P.n - 1) // 2))),
         ("ci_tests_agree", True, lambda: ci_test_counts(P) == ci_test_ideals(P)),
         ("initial_quotient_hilbert", True,
          lambda: initial_quotient_hilbert(P, "x", N) == hilbert_truncated(P, WEAK, "x", N)),
-        ("koszul_inverse_nonnegative", True, lambda: koszul_inverse(P, N)[1]),
+        ("koszul_inverse_nonnegative", True, lambda: _koszul_walk(P, N)[1]),
         ("forest_counts", True, lambda: forest_consistency(P, cap=args.complex_cap).ok),
     ]
     checks = []

@@ -19,16 +19,17 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
+from collections import Counter, deque
 from functools import reduce
 from operator import add
 from typing import NamedTuple
 
 from .errors import ExplosionError
 from .partitions import delta_data
-from .poset import (Poset, _chain_levels, _collector_paused, _Memo, hasse_components, mask_of,
-                    members)
-from .qpoly import QPolynomial
+from .poset import (Poset, _chain_levels, _collector_paused, _Memo, _pair_masks,
+                    connected_ideals, hasse_components, is_naturally_labelled, mask_of, members)
+from .qpoly import QPolynomial, _q_product
+from .structure import is_ci
 
 DEFAULT_CAP = 10_000_000
 
@@ -257,8 +258,9 @@ def _hook_count(P: Poset) -> int | None:
 
 
 def maj_polynomial(P: Poset, cap: int = DEFAULT_CAP) -> QPolynomial:
-    """Sum over L(P) of q^maj(w), by `maj_coefficients` up to the largest
-    maj, n(n-1)/2.
+    """Sum over L(P) of q^maj(w): by the q-hook formula when P is naturally
+    labelled and a complete intersection (`_hook_coefficients`), else by
+    `maj_coefficients` up to the largest maj, n(n-1)/2.
 
     Raises ExplosionError when more than cap extensions exist: at once by
     the hook count on a forest or its dual, else at the first level of
@@ -268,7 +270,29 @@ def maj_polynomial(P: Poset, cap: int = DEFAULT_CAP) -> QPolynomial:
         deque(_capped_levels(P, cap), maxlen=0)  # walked for its checks only
     else:
         _check_cap(hooks, cap)
+    if is_naturally_labelled(P) and is_ci(P):
+        return QPolynomial(_hook_coefficients(P))
     return QPolynomial(tuple(maj_coefficients(P, P.n * (P.n - 1) // 2)))
+
+
+def _hook_sizes(P: Poset):
+    """The sizes in the hook formula: |J1| + |J2| for each pair of Pi,
+    and |J| for each connected ideal."""
+    pairs = [J1.bit_count() + J2.bit_count() for J1, J2 in _pair_masks(P)]
+    return pairs, [J.bit_count() for J in connected_ideals(P)]
+
+
+def _hook_coefficients(P: Poset) -> list[int]:
+    """[n]!_q prod over Pi [|J1|+|J2|]_q / prod over J_conn [|J|]_q, the maj
+    polynomial of a naturally labelled complete intersection.  With
+    [k]_q = (1 - q^k) / (1 - q) the 1 - q cancel (|Pi| = |J_conn| - n), as
+    do equal sizes; the rest, a polynomial of degree at most n(n-1)/2, is
+    exact as a power series to there (`_q_product`)."""
+    pairs, ideals = _hook_sizes(P)
+    numer, denom = Counter(range(1, P.n + 1)), Counter(ideals)
+    numer.update(pairs)
+    return _q_product([1] + [0] * (P.n * (P.n - 1) // 2),
+                      (numer - denom).elements(), (denom - numer).elements())
 
 
 def maj_coefficients(P: Poset, N: int) -> list[int]:

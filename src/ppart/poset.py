@@ -86,9 +86,9 @@ def ideal_key(mask: int) -> tuple[int, int]:
 class Poset:
     """A partial order on {1..n}, stored via covers plus reachability masks.
 
-    J_conn, its clash masks and the classification are computed
-    on first use and kept on the instance (see connected_ideals, clashes
-    and structure.classify).  None of them walks the ideal lattice J(P).
+    J_conn, its clash masks, the classification and the CI count test are
+    computed on first use and kept on the instance (see connected_ideals,
+    clashes and structure).  None of them walks the ideal lattice J(P).
     """
 
     def __init__(self, n: int, relations=()):
@@ -133,6 +133,7 @@ class Poset:
         self._jconn = None
         self._clashes = None
         self._classification = None
+        self._ci_counts = None
 
     # -- comparabilities ------------------------------------------------
 
@@ -339,28 +340,39 @@ def connected_ideals(P: Poset) -> list[int]:
 
 def clashes(P: Poset) -> tuple[int, ...]:
     """Pi(P) as masks: bit j of entry i is set iff (J_i, J_j) is in Pi, for
-    J_i = connected_ideals(P)[i].  With holds[p] the mask of the ideals
-    containing p, J_i's partners meet it (OR of holds over J_i), leave it
-    (OR over its complement) and do not contain it (AND over J_i): about
-    |J_conn| * n big-int operations, once per Poset object."""
+    J_i = connected_ideals(P)[i].  The rows of `_clash_rows`, kept once
+    per Poset object."""
     if P._clashes is None:
-        conn = connected_ideals(P)
-        holds = [0] * (P.n + 1)
-        for i, J in enumerate(conn):
-            for p in members(J):
-                holds[p] |= 1 << i
-        out = []
-        for J in conn:
-            meets, leaves, contains = 0, 0, -1
-            for p in range(1, P.n + 1):
-                if J >> (p - 1) & 1:
-                    meets |= holds[p]
-                    contains &= holds[p]
-                else:
-                    leaves |= holds[p]
-            out.append(meets & leaves & ~contains)
-        P._clashes = tuple(out)
+        P._clashes = tuple(_clash_rows(P))
     return P._clashes
+
+
+def _pair_masks(P: Poset) -> list[tuple[int, int]]:
+    """Pi(P) as (J1, J2) pairs in no set order, read off `clashes`."""
+    conn = connected_ideals(P)
+    return [(J, conn[i + j]) for i, (J, row) in enumerate(zip(conn, clashes(P)))
+            for j in members(row >> i + 1)]
+
+
+def _clash_rows(P: Poset):
+    """The rows of `clashes`, one at a time.  With holds[p] the mask of the
+    ideals containing p, J_i's partners meet it (OR of holds over J_i),
+    leave it (OR over its complement) and do not contain it (AND over
+    J_i): about |J_conn| * n big-int operations in all."""
+    conn = connected_ideals(P)
+    holds = [0] * (P.n + 1)
+    for i, J in enumerate(conn):
+        for p in members(J):
+            holds[p] |= 1 << i
+    for J in conn:
+        meets, leaves, contains = 0, 0, -1
+        for p in range(1, P.n + 1):
+            if J >> (p - 1) & 1:
+                meets |= holds[p]
+                contains &= holds[p]
+            else:
+                leaves |= holds[p]
+        yield meets & leaves & ~contains
 
 
 def principal_ideal(P: Poset, p: int) -> int:

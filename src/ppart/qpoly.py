@@ -107,31 +107,6 @@ class QPolynomial:
         sums = list(accumulate(self.coeffs + (0,) * (m - 1)))
         return QPolynomial(sums[:m] + list(map(sub, sums[m:], sums)))
 
-    def over_q_int(self, m: int) -> "QPolynomial":
-        """self / [m]_q, exact, as `exact_div(q_int(m))` (called for m < 1,
-        so it raises there as that does) but in O(degree).
-
-        With b = self, the quotient a satisfies a(1 - q^m) = b(1 - q), so
-        a_d = a_{d-m} + b_d - b_{d-1}: m interleaved running sums of the
-        differences of b.  The m terms of that recurrence past the
-        quotient's degree are all zero exactly when [m]_q divides b (from
-        there on it only repeats them); otherwise RemainderError."""
-        if m < 1:
-            return self.exact_div(q_int(m))
-        b = self.coeffs
-        if self.is_zero():
-            return QPolynomial.zero()
-        if len(b) < m:
-            raise RemainderError("divisor degree exceeds dividend degree")
-        diff = list(map(sub, b + (0,), (0,) + b))
-        a = [0] * len(diff)
-        for r in range(m):
-            a[r::m] = accumulate(diff[r::m])
-        top = len(b) - m + 1
-        if any(a[top:]):
-            raise RemainderError("nonzero remainder in exact division")
-        return QPolynomial(a[:top])
-
     def __call__(self, value: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -157,6 +132,23 @@ class QPolynomial:
             else:
                 terms.append(f"{c}*q^{d}" if c != 1 else f"q^{d}")
         return " + ".join(terms) if terms else "0"
+
+
+def _q_product(c: list[int], times=(), over=()) -> list[int]:
+    """The power series c times prod_{a in times} (1 - q^a) over
+    prod_{b in over} (1 - q^b), every a and b >= 1, in place, up to the
+    degree of the list c: 1 - q^a is c[d] -= c[d - a] for d going down
+    (one slice of the old list), 1 / (1 - q^b) is c[d] += c[d - b] for d
+    going up (a running sum over each residue class mod b)."""
+    N = len(c) - 1
+    for a in times:
+        if a <= N:
+            c[a:] = map(sub, c[a:], c[:N + 1 - a])
+    for b in over:
+        if b <= N:
+            for r in range(b):
+                c[r::b] = accumulate(c[r::b])
+    return c
 
 
 def q_int(n: int) -> QPolynomial:

@@ -16,11 +16,15 @@ carries over.  Kernels pack `TruncSeries.coeffs` and unpack their result.
 Gradings accepted everywhere: "x-multi" (alias "x"), "(t,x)" ("tx"),
 "(t,q)" ("tq"), "q", and "t".  `_GRADINGS` gives the shape of each
 grading's series, and `_graded` is the one place that turns an ideal
-into a monomial of that shape.  Each grading has one counting engine,
-whatever the flavor: faces of the flag complex of Pi for t (`_flag_walk`,
-on candidate masks, which also weighs the multisets of the initial
-quotient), Stanley's theorem for q, and for x, (t,x) and (t,q) the walk
-over chains of level ideals, whose monomial sums its levels' monomials.
+into a monomial of that shape.  On a complete intersection
+(`structure.is_ci`) `hilbert_truncated`, with no strict cover, and
+`koszul_inverse` take the paper's products over Pi and J_conn.  Any other
+poset walks, one counting engine per grading, whatever the flavor: faces
+of the flag complex of Pi for t (`_flag_walk`, on candidate masks, which
+also weighs the multisets of the initial quotient), Stanley's theorem for
+q, and for x, (t,x) and (t,q) the walk over chains of level ideals, whose
+monomial sums its levels' monomials.  The walks are kept by name, as the
+independent side of the formulas' checks.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from bisect import bisect_right
 from collections import Counter
 
 from .errors import ArgError, CapError, InstabilityError, LabelError, NotFWDError
-from .extensions import fold_extensions, maj_coefficients
+from .extensions import _hook_coefficients, _hook_sizes, fold_extensions, maj_coefficients
 from .partitions import (
     WEAK,
     _check_flavor,
@@ -42,16 +46,16 @@ from .partitions import (
 from .poset import (
     Poset,
     _Memo,
+    _pair_masks,
     clashes,
     connected_ideals,
     hasse_components,
     is_naturally_labelled,
     mask_of,
     members,
-    nontrivial_pairs,
 )
-from .qpoly import QPolynomial
-from .structure import BuildRecipe, classify
+from .qpoly import QPolynomial, _q_product
+from .structure import BuildRecipe, is_ci
 
 DEFAULT_TRUNC = 12
 
@@ -409,7 +413,9 @@ def hilbert_truncated(P: Poset, flavor: str, grading: str, N: int) -> TruncSerie
     """Sum of t^nu(f) x^f over value vectors of the given flavor,
     truncated at total x degree N (or nu <= N for the pure t grading).
 
-    One engine per grading, whatever the flavor.  The t grading counts
+    A complete intersection on which no cover drops strictly in the flavor
+    takes the product of Thm 4.2 (`_ci_product`).  Otherwise `_hilbert_walk`
+    walks, one engine per grading, whatever the flavor.  The t grading counts
     vectors by nu alone, from the faces of the flag complex of Pi that
     separate the flavor's strict covers (`_t_by_faces`); enumerating by
     |f| is hopeless when only nu is bounded.  The q grading (and the x
@@ -417,6 +423,13 @@ def hilbert_truncated(P: Poset, flavor: str, grading: str, N: int) -> TruncSerie
     by |f| alone, by Stanley's theorem (`_stanley_q`).  The x, (t,x) and
     (t,q) gradings walk chains of level ideals, nu summed per level."""
     _check_flavor(flavor)
+    if not _strict_covers(P, flavor) and is_ci(P):
+        return _ci_product(P, grading, N)
+    return _hilbert_walk(P, flavor, grading, N)
+
+
+def _hilbert_walk(P: Poset, flavor: str, grading: str, N: int) -> TruncSeries:
+    """`hilbert_truncated` by the walk of the grading, in any flavor."""
     out, codec, mono = _graded(P, grading, N)
     if not out.nx:
         out.coeffs = _t_by_faces(P, flavor, N)
@@ -432,11 +445,8 @@ def _stanley_q(P: Poset, flavor: str, N: int) -> dict:
     the flavor, as TruncSeries keys: W(q) / ((1 - q)(1 - q^2)...(1 - q^n))
     with W the maj polynomial of `flavor_labelling` (Stanley, Ordered
     structures and partitions, 1972), W truncated at N by
-    `maj_coefficients` and divided one factor at a time."""
-    c = maj_coefficients(flavor_labelling(P, flavor), N)
-    for i in range(1, P.n + 1):
-        for d in range(i, N + 1):
-            c[d] += c[d - i]
+    `maj_coefficients` and divided one factor at a time (`_q_product`)."""
+    c = _q_product(maj_coefficients(flavor_labelling(P, flavor), N), over=range(1, P.n + 1))
     return {(0, (d,)): v for d, v in enumerate(c) if v}
 
 
@@ -545,33 +555,14 @@ def _flag_numerator(P: Poset, D: int) -> TruncSeries:
     return out
 
 
-def _hook_sizes(P: Poset):
-    """The sizes in the hook formula: |J1| + |J2| for each pair of Pi,
-    and |J| for each connected ideal."""
-    pairs = [pr.j1.bit_count() + pr.j2.bit_count() for pr in nontrivial_pairs(P)]
-    return pairs, [J.bit_count() for J in connected_ideals(P)]
-
-
 def hook_formula(P: Poset) -> QPolynomial:
     """[n]!_q * prod over pairs [|J1|+|J2|]_q / prod over ideals [|J|]_q,
-    by window sums and exact division (`QPolynomial.times_q_int`,
-    `over_q_int`) after the factors on both sides cancel; equals the maj
-    generating polynomial.  Dividing after every product stays exact: no
-    cyclotomic factor is in more of the denominator than of the numerator."""
+    on a dense coefficient list (`extensions._hook_coefficients`); equals
+    the maj generating polynomial."""
     if not is_naturally_labelled(P):
         raise LabelError("the q hook formula needs a natural labelling")
     _require_fwd(P)
-    pairs, ideals = _hook_sizes(P)
-    numer = Counter(range(2, P.n + 1))
-    numer.update(pairs)
-    denom = Counter(ideals)
-    del denom[1]  # [1]_q = 1
-    out = QPolynomial.one()
-    for size in (numer - denom).elements():
-        out = out.times_q_int(size)
-    for size in (denom - numer).elements():
-        out = out.over_q_int(size)
-    return out
+    return QPolynomial(_hook_coefficients(P))
 
 
 def hook_count(P: Poset) -> int:
@@ -586,22 +577,34 @@ def hook_count(P: Poset) -> int:
 
 
 def _require_fwd(P: Poset) -> None:
-    if not isinstance(classify(P), BuildRecipe):
+    if not is_ci(P):
         raise NotFWDError("poset is not a forest with duplications")
 
 
 def duplication_product(P: Poset, classification, grading: str,
                         N: int = DEFAULT_TRUNC) -> TruncSeries:
     """prod over pairs (1 - t^2 x^{J1} x^{J2}) / prod over ideals (1 - t x^J),
-    truncated, by one pass times 1 - m per pair of Pi and one pass over
-    1 - m per connected ideal.  classification must be a successful recipe."""
+    truncated (`_ci_product`).  classification must be a successful recipe."""
     if not isinstance(classification, BuildRecipe):
         raise NotFWDError("duplication product needs a classified poset")
+    return _ci_product(P, grading, N)
+
+
+def _ci_product(P: Poset, grading: str, N: int) -> TruncSeries:
+    """prod over pairs (1 - t^2 x^{J1} x^{J2}) / prod over ideals (1 - t x^J),
+    truncated: on a dense list in one variable (q, or t, where a connected
+    ideal is t^1), else one pass times or over 1 - m per factor."""
     out, codec, mono = _graded(P, grading, N)
+    pairs, conn = _pair_masks(P), connected_ideals(P)
+    if out.nx + out.has_t == 1:
+        size = (lambda J: 1) if out.has_t else int.bit_count
+        c = _q_product([1] + [0] * N, [size(J1) + size(J2) for J1, J2 in pairs], map(size, conn))
+        out.coeffs = {((d, ()) if out.has_t else (0, (d,))): v for d, v in enumerate(c) if v}
+        return out
     c = {0: 1}
-    for pr in nontrivial_pairs(P):
-        c = _times_one_minus(c, mono[pr.j1] + mono[pr.j2], codec)
-    for J in connected_ideals(P):
+    for J1, J2 in pairs:
+        c = _times_one_minus(c, mono[J1] + mono[J2], codec)
+    for J in conn:
         c = _over_one_minus(c, mono[J], codec)
     out.coeffs = codec.unpacked(c)
     return out
@@ -611,8 +614,27 @@ def koszul_inverse(P: Poset, N: int = DEFAULT_TRUNC):
     """Invert Hilb(gr R_P, -t, x) up to degree N.
 
     Returns (series, nonnegative) where nonnegative reports whether every
-    coefficient of the inverse is >= 0.  The weak (t,x) walk's packed
-    terms of odd t degree are negated in place, and only the inverse is unpacked."""
+    coefficient of the inverse is >= 0.  On a complete intersection the
+    inverse is prod over ideals (1 + t x^J) / prod over pairs
+    (1 - t^2 x^{J1} x^{J2}) (`_ci_koszul`); elsewhere `_koszul_walk`."""
+    return (_ci_koszul if is_ci(P) else _koszul_walk)(P, N)
+
+
+def _ci_koszul(P: Poset, N: int):
+    """`koszul_inverse` of a complete intersection, one pass per factor."""
+    out, codec, mono = _graded(P, "tx", N)
+    c = {0: 1}
+    for J in connected_ideals(P):  # no coefficient is negative, so none cancels
+        c = _plus_times(dict(c), c, mono[J], codec, sign=1)
+    for J1, J2 in _pair_masks(P):
+        c = _over_one_minus(c, mono[J1] + mono[J2], codec)
+    out.coeffs = codec.unpacked(c)
+    return out, out.is_nonnegative()
+
+
+def _koszul_walk(P: Poset, N: int):
+    """`koszul_inverse` from the weak (t,x) walk: its packed terms of odd t
+    degree are negated in place, and only the inverse is unpacked."""
     out, codec, mono = _graded(P, "tx", N)
     h = Counter(_level_chains(P, WEAK, N, mono))
     h.subtract({m: 2 * c for m, c in h.items() if m >> codec.top & 1})  # t -> -t

@@ -15,7 +15,7 @@ from .fixtures import FORB1, FORB2, FORB3
 from .poset import (
     Poset,
     PiPair,
-    clashes,
+    _clash_rows,
     connected_ideals,
     hasse_components,
     ideal_key,
@@ -208,10 +208,28 @@ def ci_test_ideals(P: Poset) -> bool:
 
 
 def ci_test_counts(P: Poset) -> bool:
-    """True iff |J_conn(P)| - |Pi(P)| = n, with |Pi| half the sum of
-    the popcounts of the clash masks."""
-    clash = clashes(P)
-    return sum(c.bit_count() for c in clash) == 2 * (len(clash) - P.n)
+    """True iff |J_conn(P)| - |Pi(P)| = n, with |Pi| half the sum of the
+    popcounts of the clash rows, once per Poset object.  The sum stops once
+    it passes 2(|J_conn| - n); when it does not, the rows are kept."""
+    if P._ci_counts is None:
+        target, total, rows = 2 * (len(connected_ideals(P)) - P.n), 0, []
+        for row in _clash_rows(P):
+            total += row.bit_count()
+            if total > target:
+                break
+            rows.append(row)
+        P._ci_counts = total == target
+        if P._ci_counts and P._clashes is None:
+            P._clashes = tuple(rows)
+    return P._ci_counts
+
+
+def is_ci(P: Poset) -> bool:
+    """Whether R_P is a complete intersection (Thm 4.2: P is a forest with
+    duplications), by a kept classification, else by `ci_test_counts`."""
+    if P._classification is not None:
+        return isinstance(P._classification, BuildRecipe)
+    return ci_test_counts(P)
 
 
 def forbidden_scan(P: Poset):

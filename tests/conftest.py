@@ -521,6 +521,13 @@ def stanley_chain_by_heights(P):
     return True
 
 
+def ci_counts_by_clashes(P):
+    """The CI count test on the whole clash matrix, kept on P:
+    |Pi| = |J_conn| - n, with |Pi| half the sum of the rows' popcounts."""
+    clash = clashes(P)
+    return sum(c.bit_count() for c in clash) == 2 * (len(clash) - P.n)
+
+
 def random_fwd_poset(rng, n):
     """A random forest with duplications on n elements: a random forest
     (roots at the top) on the first elements, then twins of distinct

@@ -17,7 +17,7 @@ import pytest
 
 from cli_golden import FIXTURES, GOLDEN, capture, case_name, iter_cases, run_cli
 from conftest import t_series_by_walk
-from ppart import cli
+from ppart import cli, extensions, series
 from ppart.cli import main
 from ppart.errors import CapError, InputError, PPartError
 from ppart.fixtures import fixture
@@ -462,6 +462,64 @@ class TestSelftestTable:
 
         for engine in engines:
             monkeypatch.setattr(cli, engine, unused)
+        code, checks, ok = self.statuses(name, ("--trunc", "6"))
+        assert (code, ok) == (0, True)
+        assert checks == [(n, "pass") for n in self.NAMES]
+
+
+    # On a forest with duplications maj() and the weak series take the
+    # product formulas: each row that checks a formula reads a walk by name.
+    FORMULA_ROWS = {"_stanley_q": "duplication_product_equals_enumeration",
+                    "maj_coefficients": "hook_equals_maj",
+                    "_koszul_walk": "koszul_inverse_nonnegative"}
+
+    @pytest.mark.parametrize("name", ["p1", "fig1", "bowtie"])
+    def test_formulas_are_checked_against_walks(self, monkeypatch, name):
+        called = []
+        for walk in self.FORMULA_ROWS:
+            def recorded(*args, walk=walk, fn=getattr(cli, walk)):
+                called.append(walk)
+                return fn(*args)
+            monkeypatch.setattr(cli, walk, recorded)
+        code, checks, ok = self.statuses(name, ("--trunc", "6"))
+        assert (code, ok) == (0, True)
+        natural = cli.is_naturally_labelled(fixture(name))
+        assert sorted(called) == sorted(w for w in self.FORMULA_ROWS
+                                        if natural or w != "maj_coefficients")
+
+    @pytest.mark.parametrize("name", ["p1", "fig1"])
+    def test_a_wrong_formula_fails_its_rows(self, monkeypatch, name):
+        # one added to the constant term of every product, then of the hook
+        product, hook = series._ci_product, extensions._hook_coefficients
+
+        def wrong_product(*args):
+            out = product(*args)
+            out.add_term(0, (0,) * out.nx, 1)
+            return out
+
+        monkeypatch.setattr(series, "_ci_product", wrong_product)
+        code, checks, ok = self.statuses(name, ("--trunc", "6"))
+        assert (code, ok) == (3, False)
+        assert {n for n, status in checks if status == "fail"} == {
+            "duplication_product_equals_enumeration", "initial_quotient_hilbert"}
+        monkeypatch.undo()
+        monkeypatch.setattr(extensions, "_hook_coefficients", lambda P: [2] + hook(P)[1:])
+        code, checks, ok = self.statuses(name, ("--trunc", "6"))
+        assert (code, ok) == (3, False)
+        assert {n for n, status in checks if status == "fail"} == {
+            "maj_equals_standard_series", "hook_equals_maj"}
+
+    @pytest.mark.parametrize("name", ["ex33", "forb1", "forb2", "forb3"])
+    def test_other_posets_take_no_formula(self, monkeypatch, name):
+        # with every product route raising, the rows of a poset that is
+        # not a complete intersection all compute and pass
+        def unused(*args):
+            raise AssertionError("a product formula ran")
+
+        for module, route in ((series, "_ci_product"), (series, "_ci_koszul"),
+                              (series, "_hook_coefficients"),
+                              (extensions, "_hook_coefficients")):
+            monkeypatch.setattr(module, route, unused)
         code, checks, ok = self.statuses(name, ("--trunc", "6"))
         assert (code, ok) == (0, True)
         assert checks == [(n, "pass") for n in self.NAMES]

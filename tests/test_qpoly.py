@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ppart import QPolynomial, RemainderError, q_factorial, q_int
+from ppart.qpoly import _q_product
 
 polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(
     lambda cs: QPolynomial(tuple(cs))
@@ -59,9 +60,10 @@ class TestDivision:
 
 
 class TestQIntKernels:
-    """The window multiply and divide by [m]_q against the dense product
-    and long division, on random integer polynomials and m = 1..25, and
-    at m = -3, -1 and 0, where each returns or raises what those do."""
+    """The window multiply by [m]_q against the dense product, on random
+    integer polynomials and m = 1..25, and at m = -3, -1 and 0, where it
+    returns or raises what the product does; and the dense series
+    quotient `_q_product` against the polynomial product."""
 
     OUTSIDE = (-3, -1, 0)
 
@@ -85,40 +87,20 @@ class TestQIntKernels:
                 else:
                     assert a.times_q_int(m) == want, (a, m)
 
-    def test_over_inverts_times(self):
-        for a in self._polys(2):
-            for m in range(1, 26):
-                b = a * q_int(m)
-                assert b.over_q_int(m) == b.exact_div(q_int(m)) == a, (a, m)
-
-    def test_over_raises_where_exact_div_raises(self):
-        # a product with one coefficient moved, and random polynomials,
-        # are mostly not multiples of [m]_q
-        rng = random.Random(3)
-        cases = []
-        for a in self._polys(4):
-            for m in range(1, 26):
-                b = list((a * q_int(m)).coeffs)
-                b[rng.randrange(len(b))] += rng.choice((-1, 1))
-                cases += [(QPolynomial(tuple(b)), m), (a, m)]
-            cases += [(a, m) for m in self.OUTSIDE]
-        raised = 0
-        for b, m in cases:
-            try:
-                want = b.exact_div(q_int(m))
-            except (RemainderError, ValueError, ZeroDivisionError) as exc:
-                raised += 1
-                with pytest.raises(type(exc), match=str(exc)):
-                    b.over_q_int(m)
-            else:
-                assert b.over_q_int(m) == want, (b, m)
-        assert raised > len(cases) // 2
-
-    def test_not_divisible(self):
-        with pytest.raises(RemainderError, match="nonzero remainder"):
-            q_int(5).over_q_int(2)
-        with pytest.raises(RemainderError, match="degree"):
-            q_int(2).over_q_int(4)
+    def test_series_quotient_matches_products(self):
+        # 1 / (1 - q^b) up to degree N is the polynomial sum of q^(k b), k b <= N
+        rng = random.Random(5)
+        for a in self._polys(6):
+            N = rng.randrange(25)
+            times = [rng.randint(1, 30) for _ in range(rng.randrange(4))]
+            over = [rng.randint(1, 30) for _ in range(rng.randrange(4))]
+            want = a
+            for m in times:
+                want = want * QPolynomial((1,) + (0,) * (m - 1) + (-1,))
+            for m in over:
+                want = want * QPolynomial(tuple(int(d % m == 0) for d in range(N + 1)))
+            got = _q_product([a[d] for d in range(N + 1)], times, over)
+            assert got == [want[d] for d in range(N + 1)], (a, N, times, over)
 
 
 class TestArithmetic:

@@ -75,10 +75,13 @@ from ppart.fixtures import BOWTIE, EX33, FIG1, FORB1, FORB2, FORB3, P1, P2, P3
 from ppart.partitions import FLAVORS, WEAK, _Monomials, _multiset_vector, _strict_covers
 from ppart.series import (
     _graded,
+    _hilbert_walk,
     _hook_sizes,
+    _koszul_walk,
     _numerator_bounds,
     _over_one_minus,
     _plus_times,
+    _stanley_q,
     _times_one_minus,
     normalize_grading,
 )
@@ -562,8 +565,8 @@ class TestStanleyQ:
         with pytest.raises(ExplosionError):
             maj_polynomial(P)
         sizes = _expanded_sizes(monkeypatch)
-        got = hilbert_truncated(P, "weak", "q", 6)
-        assert got.coeffs == {(0, (d,)): math.comb(d + 13, 13) for d in range(7)}
+        got = _stanley_q(P, "weak", 6)
+        assert got == {(0, (d,)): math.comb(d + 13, 13) for d in range(7)}
         assert max(sizes) <= 6 + 1
         assert len(sizes) < count_ideals(P)
 
@@ -573,10 +576,10 @@ class TestStanleyQ:
         # two 6-element chains: 49 ideals, of up to 12 elements
         P = Poset(12, [(i, i + 1) for i in (1, 2, 3, 4, 5, 7, 8, 9, 10, 11)])
         sizes = _expanded_sizes(monkeypatch)
-        got = hilbert_truncated(P, flavor, "q", N)
+        got = _stanley_q(P, flavor, N)
         assert sizes and max(sizes) <= N + 1
         monkeypatch.undo()
-        assert got.coeffs == _q_by_enumeration(P, flavor, N)
+        assert got == _q_by_enumeration(P, flavor, N)
 
     @pytest.mark.parametrize("flavor, P", [
         # a 10-chain: a strict vector has |f| >= 0 + 1 + ... + 9 = 45
@@ -723,7 +726,7 @@ class TestNumerator:
         def forbidden(*args):
             raise AssertionError("numerator_polynomial must not call this")
 
-        for name in ("classify", "hilbert_truncated", "_level_chains"):
+        for name in ("is_ci", "hilbert_truncated", "_level_chains"):
             monkeypatch.setattr(series, name, forbidden)
         g = numerator_polynomial(EX33, 12)
         assert g == _ex33_numerator(g)
@@ -841,9 +844,7 @@ class TestDuplicationProduct:
 
     def test_fig1_q(self):
         r = classify(FIG1)
-        assert duplication_product(FIG1, r, "q", 10) == hilbert_truncated(
-            FIG1, "weak", "q", 10
-        )
+        assert duplication_product(FIG1, r, "q", 10).coeffs == _stanley_q(FIG1, "weak", 10)
 
     def test_single_element(self):
         P = Poset(1, [])
@@ -883,7 +884,7 @@ class TestKoszul:
     def test_cor_1_5_wide(self, P):
         inv, ok = koszul_inverse(P, 6)
         assert ok is True
-        h = hilbert_truncated(P, "weak", "tx", 6)
+        h = _hilbert_walk(P, "weak", "tx", 6)
         assert inv * h.substitute_neg_t() == 1
 
     def test_packed_inverse_matches_the_series_inverse(self, posets_to5):
@@ -891,8 +892,8 @@ class TestKoszul:
         # against the series composition they replace
         cases = [(P, N) for P in posets_to5 for N in (0, 1, 4)]
         for P, N in cases + [(P, N) for P in FIXTURES for N in (0, 4, 6)]:
-            want = hilbert_truncated(P, "weak", "tx", N).substitute_neg_t().inverse()
-            assert koszul_inverse(P, N) == (want, want.is_nonnegative()), (P, N)
+            want = _hilbert_walk(P, "weak", "tx", N).substitute_neg_t().inverse()
+            assert _koszul_walk(P, N) == (want, want.is_nonnegative()), (P, N)
 
     def test_antichain2_closed_form(self):
         P = Poset(2, [])
@@ -903,6 +904,107 @@ class TestKoszul:
         expect.add_term(1, (0, 1), 1)
         expect.add_term(2, (1, 1), 1)
         assert inv == expect
+
+
+class TestCIRoutes:
+    """On a complete intersection (a forest with duplications) the weak
+    series, and the standard one of a naturally labelled poset, the Koszul
+    inverse and the maj polynomial take the product formulas; each against
+    the walk it replaces there, called by name.  The posets are fresh
+    copies, so the gate runs the count test rather than reading a kept
+    classification.  Each walk runs once, at the deepest N: a truncated
+    answer is exact up to its truncation."""
+
+    GRADINGS = ("q", "t", "tq", "x", "tx")
+
+    def _check(self, P, Ns=(0, 3, 6), koszul=(0, 1, 2, 3, 4)):
+        P = Poset(P.n, sorted(P.covers))
+        natural = is_naturally_labelled(P)
+        for g in self.GRADINGS:
+            # on a naturally labelled P no cover drops strictly in either
+            # flavor, so the two walks are one
+            want = _hilbert_walk(P, "weak", g, max(Ns))
+            for flavor in ("weak", "standard") if natural else ("weak",):
+                for N in Ns:
+                    got = hilbert_truncated(P, flavor, g, N)
+                    assert got == truncated(want, N), (P, flavor, g, N)
+        want, _ = _koszul_walk(P, max(koszul))
+        for N in koszul:
+            inv = truncated(want, N)
+            assert koszul_inverse(P, N) == (inv, inv.is_nonnegative()), (P, N)
+        if natural:
+            assert maj_polynomial(P) == QPolynomial(maj_coefficients(P, P.n * (P.n - 1) // 2)), P
+        assert series.is_ci(P)
+
+    def test_every_small_fwd_poset(self, posets_to5):
+        fwd = _fwd(posets_to5)
+        assert len(fwd) == 1 + 3 + 19 + 191 + 2596
+        for P, _ in fwd:
+            self._check(P)
+
+    def test_random_fwd_posets(self):
+        rng = random.Random(31)
+        for n in (6, 7, 8, 9):
+            for _ in range(6):
+                P = random_fwd_poset(rng, n)
+                self._check(P)
+                self._check(natural_relabel(P)[0], Ns=(6,), koszul=(4,))
+
+    def test_maj_polynomial_on_every_small_poset(self, posets_to5):
+        for P in posets_to5:
+            assert maj_polynomial(P) == QPolynomial(maj_coefficients(P, P.n * (P.n - 1) // 2)), P
+
+    @staticmethod
+    def _patch(monkeypatch, names, modules=(series, extensions)):
+        def forbidden(*args):
+            raise AssertionError(f"one of {names} ran")
+
+        for module in modules:
+            for name in names:
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+
+    def test_other_posets_walk(self, monkeypatch, posets_to5):
+        # with every product route raising, no poset that is not a
+        # complete intersection reaches one
+        others = [Poset(P.n, sorted(P.covers)) for P in posets_to5[::7]
+                  if not isinstance(classify(P), BuildRecipe)]
+        others += [Poset(P.n, sorted(P.covers)) for P in (EX33, FORB1, FORB2, FORB3)]
+        self._patch(monkeypatch, ("_ci_product", "_ci_koszul", "_hook_coefficients"))
+        for P in others:
+            for g in self.GRADINGS:
+                hilbert_truncated(P, "weak", g, 3)
+            koszul_inverse(P, 3)
+            maj_polynomial(P)
+            assert not series.is_ci(P)
+        assert len(others) > 150
+
+    @pytest.mark.parametrize("P", [
+        pytest.param(Poset(22), id="anti22"),
+        pytest.param(Poset(18, [(k, 18) for k in range(1, 18)]), id="star18-top"),
+        pytest.param(Poset(18, [(k, k // 2) for k in range(2, 19)]), id="tree18-top"),
+    ])
+    def test_walks_not_taken_at_scale(self, monkeypatch, P):
+        # walking J(P) or the vectors would take seconds here
+        self._patch(monkeypatch, ("_hilbert_walk", "_stanley_q", "_t_by_faces", "_level_chains",
+                                  "_koszul_walk", "maj_coefficients"))
+        for g in ("q", "tq", "t"):
+            start = time.perf_counter()
+            got = hilbert_truncated(Poset(P.n, sorted(P.covers)), "weak", g, 12)
+            assert time.perf_counter() - start < 0.1, g
+            assert got.coeffs
+        assert koszul_inverse(P, 3)[1] is True
+
+    def test_fixtures_take_the_routes(self, monkeypatch):
+        fwd = [Poset(P.n, sorted(P.covers)) for P, _ in _fwd(FIXTURES)]
+        want = [([hilbert_truncated(P, "weak", g, 6) for g in self.GRADINGS],
+                 koszul_inverse(P, 4), maj_polynomial(P) if is_naturally_labelled(P) else None)
+                for P in fwd]
+        self._patch(monkeypatch, ("_hilbert_walk", "_stanley_q", "_t_by_faces", "_level_chains",
+                                  "_koszul_walk", "maj_coefficients"))
+        got = [([hilbert_truncated(P, "weak", g, 6) for g in self.GRADINGS],
+                koszul_inverse(P, 4), maj_polynomial(P) if is_naturally_labelled(P) else None)
+               for P in fwd]
+        assert got == want
 
 
 # -- the public series functions on tuple keys, from the conftest kernels

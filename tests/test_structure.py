@@ -6,15 +6,19 @@ import pytest
 from ppart import (
     ArgError,
     BuildRecipe,
+    NotFWDError,
     Poset,
     Witness,
     ci_test_counts,
     ci_test_ideals,
+    clashes,
     classify,
     connected_ideals,
     enumerate_posets,
     forbidden_scan,
     hasse_components,
+    hook_count,
+    hook_formula,
     lemma41_predictions,
     mask_of,
     members,
@@ -24,10 +28,12 @@ from ppart import (
     principal_ideal,
     recipe_poset,
 )
+from ppart import structure
 from ppart.fixtures import EX33, FIG1, FORB1, FORB2, FORB3, P1
-from ppart.structure import DisjointUnion, Duplicate, Hang, Leaf, _classify, _replay, is_principal
+from ppart.structure import (DisjointUnion, Duplicate, Hang, Leaf, _classify, _replay, is_ci,
+                             is_principal)
 
-from conftest import random_fwd_poset, random_posets, replay_by_up_sets
+from conftest import ci_counts_by_clashes, random_fwd_poset, random_posets, replay_by_up_sets
 
 CHAIN3 = Poset(3, [(1, 2), (2, 3)])
 
@@ -219,6 +225,74 @@ class TestCITests:
 
             diff = len(connected_ideals(P)) - len(nontrivial_pairs(P))
             assert (diff == P.n) == ci_test_counts(P)
+
+
+    def test_counts_match_the_clash_matrix(self, posets_to5):
+        # the early-exit row count on a fresh poset against the full matrix
+        for P in posets_to5:
+            assert ci_test_counts(Poset(P.n, sorted(P.covers))) == ci_counts_by_clashes(P), P
+
+    def test_count_stops_early_and_is_kept(self, monkeypatch):
+        tree = Poset(18, [(k // 2, k) for k in range(2, 19)])  # |J_conn| = 2106, not CI
+        drawn = []
+        rows = structure._clash_rows
+
+        def counting(P):
+            for row in rows(P):
+                drawn.append(row)
+                yield row
+
+        monkeypatch.setattr(structure, "_clash_rows", counting)
+        assert not ci_test_counts(tree)
+        assert 0 < len(drawn) < len(connected_ideals(tree)) // 10
+        assert tree._clashes is None  # the matrix was never built
+        drawn.clear()
+        assert not ci_test_counts(tree)
+        assert drawn == []
+
+    def test_a_passing_count_keeps_its_rows(self):
+        P, Q = (Poset(FIG1.n, sorted(FIG1.covers)) for _ in range(2))
+        assert ci_test_counts(P)
+        assert P._clashes == clashes(Q)
+
+
+def _forbidden(*args):
+    raise AssertionError("the gate asked for more than it needs")
+
+
+class TestGate:
+    """`is_ci` reads a kept classification, else the count test, and the
+    hook formulas ask it rather than `classify`."""
+
+    @pytest.mark.parametrize("Q, ci", [(FIG1, True), (EX33, False), (FORB2, False)],
+                             ids=["fig1", "ex33", "forb2"])
+    def test_reads_a_kept_classification(self, monkeypatch, Q, ci):
+        P = Poset(Q.n, sorted(Q.covers))
+        classify(P)
+        monkeypatch.setattr(structure, "ci_test_counts", _forbidden)
+        assert is_ci(P) is ci
+
+    @pytest.mark.parametrize("Q, ci", [(FIG1, True), (EX33, False), (FORB2, False)],
+                             ids=["fig1", "ex33", "forb2"])
+    def test_counts_without_a_classification(self, monkeypatch, Q, ci):
+        monkeypatch.setattr(structure, "_classify", _forbidden)
+        P = Poset(Q.n, sorted(Q.covers))
+        assert is_ci(P) is ci
+        assert P._classification is None
+
+    def test_hooks_do_not_classify(self, monkeypatch):
+        monkeypatch.setattr(structure, "_classify", _forbidden)
+        fresh = [Poset(Q.n, sorted(Q.covers)) for Q in (FIG1, EX33)]
+        assert hook_count(fresh[0]) == 300
+        assert hook_formula(fresh[0]) == hook_formula(FIG1)
+        with pytest.raises(NotFWDError):
+            hook_count(fresh[1])
+
+    def test_hook_count_after_classify(self, monkeypatch):
+        P = Poset(FIG1.n, sorted(FIG1.covers))
+        classify(P)
+        monkeypatch.setattr(structure, "ci_test_counts", _forbidden)
+        assert hook_count(P) == 300
 
 
 class TestForbidden:
