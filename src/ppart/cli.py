@@ -28,6 +28,7 @@ from .complexes import DEFAULT_VERTEX_CAP, forest_consistency
 from .extensions import DEFAULT_CAP, linear_extensions, maj_coefficients, maj_polynomial
 from .partitions import FLAVORS, STANDARD, WEAK, count_by_size, delta_data
 from .poset import (
+    _decimal,
     connected_ideals,
     count_ideals,
     is_naturally_labelled,
@@ -281,14 +282,11 @@ def _cmd_selftest(P, args):
 
 
 def _count(text):
-    """argparse type of --trunc and the caps: an integer >= 0."""
+    """argparse type of --trunc and the caps: an integer >= 0, in ASCII decimal."""
     try:
-        value = int(text)
+        return _decimal(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}") from None
 
 
 def _grading(text):

@@ -10,7 +10,7 @@ facet members.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapError
 from .extensions import count_extensions
@@ -26,8 +26,7 @@ from .poset import (
 DEFAULT_VERTEX_CAP = 24
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(NamedTuple):
     vertices: tuple[int, ...]          # connected ideal masks, canonical order
     facets: tuple[tuple[int, ...], ...]  # each facet a tuple of masks
 
@@ -38,8 +37,7 @@ class SimplicialComplex:
         }
 
 
-@dataclass(frozen=True)
-class PForest:
+class PForest(NamedTuple):
     """Forest on 1..n as a parent vector (0 for roots); i sits below its
     parent, so each principal ideal of the forest is an ideal of P."""
 
@@ -131,8 +129,7 @@ def p_forests(P: Poset, cap: int = DEFAULT_VERTEX_CAP) -> list[PForest]:
     return [_facet_to_forest(P, f) for f in delta_complex(P, cap).facets]
 
 
-@dataclass(frozen=True)
-class ForestReport:
+class ForestReport(NamedTuple):
     terms: tuple[tuple[tuple[int, ...], int], ...]  # (parent vector, count)
     total: int
     expected: int

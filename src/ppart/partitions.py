@@ -10,9 +10,9 @@ and "strict" when it drops strictly along every cover.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import cache, reduce
 from operator import add, or_
+from typing import NamedTuple
 
 from .errors import ArgError, FlavorError
 from .poset import (
@@ -94,8 +94,7 @@ def nested_decomposition(P: Poset, f) -> list[int]:
     return chain
 
 
-@dataclass(frozen=True)
-class ConnDecomposition:
+class ConnDecomposition(NamedTuple):
     """Multiset of pairwise trivially-intersecting connected ideals summing
     to a value vector; nu is the total multiplicity."""
 
@@ -262,8 +261,7 @@ def count_by_size(P: Poset, flavor: str, N: int) -> list[int]:
 # -- minimal standard vector and chain conditions -----------------------
 
 
-@dataclass(frozen=True)
-class DeltaData:
+class DeltaData(NamedTuple):
     """Per-element count of strict covers along the longest chain above,
     with the agreement flag and the total when all chains agree."""
 

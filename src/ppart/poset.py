@@ -187,8 +187,17 @@ class Poset:
 # -- parsing ------------------------------------------------------------
 
 
+def _decimal(text: str) -> int:
+    """text as an ASCII decimal integer, [0-9]+ with leading zeros allowed;
+    ValueError otherwise (`int` alone takes a sign, `_` and other digits)."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_poset(text: str) -> Poset:
-    """Parse the poset file format: 'n <int>' then '<a> <b>' relation lines.
+    """Parse the poset file format: 'n <int>' then '<a> <b>' relation
+    lines, every integer in ASCII decimal.
 
     '#' starts a comment, blank lines are ignored, relations need not
     be covers (the transitive reduction is computed).
@@ -204,14 +213,14 @@ def parse_poset(text: str) -> Poset:
             if len(parts) != 2 or parts[0] != "n":
                 raise PosetSyntaxError(f"line {lineno}: expected 'n <int>', got {raw!r}")
             try:
-                n = int(parts[1])
+                n = _decimal(parts[1])
             except ValueError:
                 raise PosetSyntaxError(f"line {lineno}: bad element count {parts[1]!r}")
         else:
             if len(parts) != 2:
                 raise PosetSyntaxError(f"line {lineno}: expected '<a> <b>', got {raw!r}")
             try:
-                a, b = int(parts[0]), int(parts[1])
+                a, b = _decimal(parts[0]), _decimal(parts[1])
             except ValueError:
                 raise PosetSyntaxError(f"line {lineno}: non-integer labels in {raw!r}")
             relations.append((a, b))

@@ -7,7 +7,6 @@ computer-algebra export of all of it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ArgError
@@ -33,8 +32,7 @@ def _m2_var_name(mask: int, wide: bool) -> str:
     return var_name(mask, wide)
 
 
-@dataclass(frozen=True)
-class SyzGenerator:
+class SyzGenerator(NamedTuple):
     """One relation per nontrivially-intersecting pair of connected ideals.
 
     lhs and rhs are monomials given as tuples of ideal masks; rhs is empty
@@ -178,8 +176,7 @@ def hibi_check(P: Poset) -> bool:
     return len(P.minimal_elements(P.full_mask)) == 1
 
 
-@dataclass(frozen=True)
-class SemigroupIdealData:
+class SemigroupIdealData(NamedTuple):
     """Descent-monomial generators of the standard-vector ideal, as
     exponent vectors; principal holds the minimal vector when the ideal
     is principal (per-element chain condition), else None."""

@@ -593,7 +593,8 @@ def duplication_product(P: Poset, classification, grading: str,
 def _ci_product(P: Poset, grading: str, N: int) -> TruncSeries:
     """prod over pairs (1 - t^2 x^{J1} x^{J2}) / prod over ideals (1 - t x^J),
     truncated: on a dense list in one variable (q, or t, where a connected
-    ideal is t^1), else one pass times or over 1 - m per factor."""
+    ideal is t^1), else one pass times or over 1 - m per factor of degree
+    at most N (x^J has degree |J| there, and a factor past N is 1)."""
     out, codec, mono = _graded(P, grading, N)
     pairs, conn = _pair_masks(P), connected_ideals(P)
     if out.nx + out.has_t == 1:
@@ -603,9 +604,11 @@ def _ci_product(P: Poset, grading: str, N: int) -> TruncSeries:
         return out
     c = {0: 1}
     for J1, J2 in pairs:
-        c = _times_one_minus(c, mono[J1] + mono[J2], codec)
+        if J1.bit_count() + J2.bit_count() <= N:
+            c = _times_one_minus(c, mono[J1] + mono[J2], codec)
     for J in conn:
-        c = _over_one_minus(c, mono[J], codec)
+        if J.bit_count() <= N:
+            c = _over_one_minus(c, mono[J], codec)
     out.coeffs = codec.unpacked(c)
     return out
 
@@ -621,13 +624,16 @@ def koszul_inverse(P: Poset, N: int = DEFAULT_TRUNC):
 
 
 def _ci_koszul(P: Poset, N: int):
-    """`koszul_inverse` of a complete intersection, one pass per factor."""
+    """`koszul_inverse` of a complete intersection, one pass per factor
+    of degree at most N."""
     out, codec, mono = _graded(P, "tx", N)
     c = {0: 1}
     for J in connected_ideals(P):  # no coefficient is negative, so none cancels
-        c = _plus_times(dict(c), c, mono[J], codec, sign=1)
+        if J.bit_count() <= N:
+            c = _plus_times(dict(c), c, mono[J], codec, sign=1)
     for J1, J2 in _pair_masks(P):
-        c = _over_one_minus(c, mono[J1] + mono[J2], codec)
+        if J1.bit_count() + J2.bit_count() <= N:
+            c = _over_one_minus(c, mono[J1] + mono[J2], codec)
     out.coeffs = codec.unpacked(c)
     return out, out.is_nonnegative()
 

@@ -8,7 +8,7 @@ checks the equivalent ideal-counting characterizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ArgError
 from .fixtures import FORB1, FORB2, FORB3
@@ -29,32 +29,27 @@ from .poset import (
 # -- recipe tree --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     label: int
 
 
-@dataclass(frozen=True)
-class DisjointUnion:
+class DisjointUnion(NamedTuple):
     parts: tuple
 
 
-@dataclass(frozen=True)
-class Hang:
+class Hang(NamedTuple):
     upper: object
     target: int
     lower: object
 
 
-@dataclass(frozen=True)
-class Duplicate:
+class Duplicate(NamedTuple):
     child: object
     hanger: int
     duplicate: int
 
 
-@dataclass(frozen=True)
-class BuildRecipe:
+class BuildRecipe(NamedTuple):
     """Operation tree whose replay reconstructs the poset exactly."""
 
     root: object
@@ -68,8 +63,7 @@ class BuildRecipe:
         }
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Certificate that the poset is not a complete intersection.
 
     kind is always "BadIdeal": a connected ideal that is neither principal
@@ -316,8 +310,7 @@ def _classify(P: Poset, choose):
 # -- structural predictions from the duplication set --------------------
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     match: bool
     predicted_ideals: tuple
     actual_ideals: tuple

@@ -128,6 +128,41 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
 
+    # `int` reads all of these; the file format and the counts are ASCII
+    # decimal, [0-9]+.
+    NOT_DECIMAL = ["1_0", "+3", "３", "٣", "²", " 3", "3 ", "0x3", "", "-0"]
+
+    @pytest.mark.parametrize("text,line", [
+        *[(f"n {v}\n", 1) for v in NOT_DECIMAL if v.strip() == v != ""],
+        ("n 3\n+1 2\n", 2), ("n 3\n1 ２\n", 2), ("n 3\n1 2\n2 3_0\n", 3),
+        ("# n 4\n\nn 3\n1 2\n-2 3\n", 5),
+    ])
+    def test_labels_and_count_are_ascii_decimal(self, tmp_path, capsys, text, line):
+        path = tmp_path / "odd.poset"
+        path.write_text(text, encoding="utf-8")
+        code = main(["analyze", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: line {line}: ")
+
+    def test_leading_zeros_parse(self, tmp_path, capsys):
+        path = tmp_path / "zeros.poset"
+        path.write_text("n 03\n01 0002\n2 3\n")
+        assert parse_poset(path.read_text()) == parse_poset("n 3\n1 2\n2 3\n")
+        outs = []
+        for trunc in ("004", "4"):
+            assert main(["hilbert", str(path), "--trunc", trunc]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and '"trunc": 4' in outs[0]
+
+    @pytest.mark.parametrize("flag", ["--trunc", "--cap", "--complex-cap"])
+    @pytest.mark.parametrize("value", NOT_DECIMAL)
+    def test_counts_are_ascii_decimal(self, capsys, flag, value):
+        code = main(["selftest", P2, flag, value])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert f"expected an integer >= 0, got {value!r}" in err
+
     @pytest.mark.parametrize(
         "command,flag",
         [(c, f) for c in ("analyze", "classify", "hook")

@@ -1,9 +1,9 @@
 """Every name a library module imports at top level is used in it, and
 every module-level private function or class, and every private method of
 a module-level class, is referenced in the library; series.py imports
-neither the vector listing nor a decomposition of one vector; and every
-function that runs with the cyclic collector paused is exercised by the
-cycle tests.
+neither the vector listing nor a decomposition of one vector; no module
+imports `dataclasses`; and every function that runs with the cyclic
+collector paused is exercised by the cycle tests.
 
 Stdlib checks by `ast`: an import left behind when its last use goes, or a
 helper orphaned when its last caller goes, fails here.  `__init__.py` is
@@ -114,6 +114,32 @@ def test_detects_a_layering_import():
     source = ("from .partitions import WEAK, nu as count\n\n"
               "def f():\n    from .partitions import enumerate_partitions\n")
     assert imports_of(source, NOT_IN_SERIES) == ["enumerate_partitions (line 4)", "nu (line 1)"]
+
+
+# Records are NamedTuples: a dataclass generates and execs its methods
+# when its module is imported, a cost every CLI process pays, and
+# `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`.
+def imported_modules(source: str) -> list[str]:
+    """The absolute module names the source imports anywhere in it."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    assert [m for m in imported_modules(path.read_text())
+            if m.split(".")[0] == "dataclasses"] == []
+
+
+def test_detects_an_import_of_dataclasses():
+    source = ("from .poset import Poset\nimport json, dataclasses as dc\n\n"
+              "def f():\n    from dataclasses import replace\n")
+    assert imported_modules(source) == ["dataclasses", "json"]
 
 
 # A kernel runs with the collector paused only if it leaves no cycle

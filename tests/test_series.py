@@ -978,6 +978,14 @@ class TestCIRoutes:
             assert not series.is_ci(P)
         assert len(others) > 150
 
+    def test_factors_past_the_truncation_are_skipped(self, monkeypatch):
+        # every factor of fig1 has degree at least 1, so at N = 0 each is 1
+        P = Poset(FIG1.n, sorted(FIG1.covers))
+        want = [_hilbert_walk(P, "weak", g, 0) for g in ("x", "tx", "tq")], _koszul_walk(P, 0)
+        self._patch(monkeypatch, ("_times_one_minus", "_over_one_minus", "_plus_times"), (series,))
+        got = [hilbert_truncated(P, "weak", g, 0) for g in ("x", "tx", "tq")], koszul_inverse(P, 0)
+        assert got == want
+
     @pytest.mark.parametrize("P", [
         pytest.param(Poset(22), id="anti22"),
         pytest.param(Poset(18, [(k, 18) for k in range(1, 18)]), id="star18-top"),

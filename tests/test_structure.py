@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -29,9 +28,12 @@ from ppart import (
     recipe_poset,
 )
 from ppart import structure
+from ppart.complexes import ForestReport, PForest, SimplicialComplex
 from ppart.fixtures import EX33, FIG1, FORB1, FORB2, FORB3, P1
-from ppart.structure import (DisjointUnion, Duplicate, Hang, Leaf, _classify, _replay, is_ci,
-                             is_principal)
+from ppart.partitions import ConnDecomposition, DeltaData
+from ppart.presentation import SemigroupIdealData, SyzGenerator
+from ppart.structure import (DisjointUnion, Duplicate, Hang, Leaf, StructureReport, _classify,
+                             _replay, is_ci, is_principal)
 
 from conftest import ci_counts_by_clashes, random_fwd_poset, random_posets, replay_by_up_sets
 
@@ -105,14 +107,14 @@ def retargeted(node):
     elif isinstance(node, Hang):
         others = [p for p in members(_replay(node.upper)[0]) if p != node.target]
         if others:
-            yield dataclasses.replace(node, target=others[0])
+            yield node._replace(target=others[0])
         for moved in retargeted(node.upper):
-            yield dataclasses.replace(node, upper=moved)
+            yield node._replace(upper=moved)
         for moved in retargeted(node.lower):
-            yield dataclasses.replace(node, lower=moved)
+            yield node._replace(lower=moved)
     else:
         for moved in retargeted(node.child):
-            yield dataclasses.replace(node, child=moved)
+            yield node._replace(child=moved)
 
 
 class TestReplay:
@@ -406,3 +408,48 @@ class TestPerPosetFacts:
         for Q in (FIG1, EX33):
             P = Poset(Q.n, Q.covers)
             assert classify(P) is classify(P)
+
+
+# Every record with the fields, in the order, of the frozen dataclass it
+# replaced; a NamedTuple is created without generating and exec-ing methods.
+RECORDS = {
+    Leaf: ("label",),
+    DisjointUnion: ("parts",),
+    Hang: ("upper", "target", "lower"),
+    Duplicate: ("child", "hanger", "duplicate"),
+    BuildRecipe: ("root", "duplication_set"),
+    Witness: ("kind", "ideal", "decompositions"),
+    StructureReport: ("match", "predicted_ideals", "actual_ideals", "predicted_pairs",
+                      "actual_pairs"),
+    SimplicialComplex: ("vertices", "facets"),
+    PForest: ("parent",),
+    ForestReport: ("terms", "total", "expected", "complex"),
+    ConnDecomposition: ("parts", "nu"),
+    DeltaData: ("delta", "satisfies_labelled_condition", "maj_p"),
+    SyzGenerator: ("pair", "lhs", "rhs"),
+    SemigroupIdealData: ("generators", "principal"),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    def test_named_tuple_with_the_old_fields(self, cls):
+        fields = RECORDS[cls]
+        assert issubclass(cls, tuple) and cls._fields == fields
+        assert cls._field_defaults == ({"ideal": 0, "decompositions": ()} if cls is Witness else {})
+        record = cls(*range(len(fields)))
+        assert repr(record) == f"{cls.__name__}({', '.join(f'{f}={i}' for i, f in enumerate(fields))})"
+        for name in fields + tuple(n for n in ("n", "ok") if hasattr(cls, n)):
+            with pytest.raises(AttributeError):
+                setattr(record, name, -1)
+        with pytest.raises(AttributeError):
+            record.extra = -1
+
+    def test_reprs_of_classify(self):
+        assert repr(Leaf(3)) == "Leaf(label=3)"
+        assert repr(classify(Poset(4, [(1, 3), (2, 3), (1, 4), (2, 4)]))) == (
+            "BuildRecipe(root=Duplicate(child=Hang(upper=Leaf(label=3), target=3, "
+            "lower=DisjointUnion(parts=(Leaf(label=1), Leaf(label=2)))), hanger=3, duplicate=4), "
+            "duplication_set=frozenset({frozenset({3, 4})}))")
+        assert repr(classify(FORB3)) == (
+            "Witness(kind='BadIdeal', ideal=15, decompositions=((3, 13), (5, 11)))")
