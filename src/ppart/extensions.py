@@ -29,7 +29,7 @@ from .partitions import delta_data
 from .poset import (Poset, _chain_levels, _collector_paused, _Memo, _pair_masks,
                     connected_ideals, hasse_components, is_naturally_labelled, mask_of, members)
 from .qpoly import QPolynomial, _q_product
-from .structure import is_ci
+from .structure import ci_test_counts
 
 DEFAULT_CAP = 10_000_000
 
@@ -270,7 +270,7 @@ def maj_polynomial(P: Poset, cap: int = DEFAULT_CAP) -> QPolynomial:
         deque(_capped_levels(P, cap), maxlen=0)  # walked for its checks only
     else:
         _check_cap(hooks, cap)
-    if is_naturally_labelled(P) and is_ci(P):
+    if is_naturally_labelled(P) and ci_test_counts(P):
         return QPolynomial(_hook_coefficients(P))
     return QPolynomial(tuple(maj_coefficients(P, P.n * (P.n - 1) // 2)))
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import fixtures
 from .errors import ArgError
-from .fixtures import FORB1, FORB2, FORB3
 from .poset import (
     Poset,
     PiPair,
@@ -202,9 +202,11 @@ def ci_test_ideals(P: Poset) -> bool:
 
 
 def ci_test_counts(P: Poset) -> bool:
-    """True iff |J_conn(P)| - |Pi(P)| = n, with |Pi| half the sum of the
-    popcounts of the clash rows, once per Poset object.  The sum stops once
-    it passes 2(|J_conn| - n); when it does not, the rows are kept."""
+    """True iff |J_conn(P)| - |Pi(P)| = n, that is iff R_P is a complete
+    intersection (Thm 4.2); the gate of every formula route.  |Pi| is half
+    the sum of the popcounts of the clash rows, once per Poset object.  The
+    sum stops once it passes 2(|J_conn| - n); when it does not, the rows
+    are kept."""
     if P._ci_counts is None:
         target, total, rows = 2 * (len(connected_ideals(P)) - P.n), 0, []
         for row in _clash_rows(P):
@@ -218,18 +220,11 @@ def ci_test_counts(P: Poset) -> bool:
     return P._ci_counts
 
 
-def is_ci(P: Poset) -> bool:
-    """Whether R_P is a complete intersection (Thm 4.2: P is a forest with
-    duplications), by a kept classification, else by `ci_test_counts`."""
-    if P._classification is not None:
-        return isinstance(P._classification, BuildRecipe)
-    return ci_test_counts(P)
-
-
 def forbidden_scan(P: Poset):
     """First induced occurrence of a forbidden 4/5-element pattern, as
     (name, embedding), or None."""
-    for name, Q in (("forb1", FORB1), ("forb2", FORB2), ("forb3", FORB3)):
+    for name, Q in (("forb1", fixtures.FORB1), ("forb2", fixtures.FORB2),
+                    ("forb3", fixtures.FORB3)):
         occurrences = induced_occurrences(P, Q)
         if occurrences:
             return (name, occurrences[0])
@@ -242,12 +237,12 @@ def forbidden_scan(P: Poset):
 def classify(P: Poset):
     """Decompose P as a forest with duplications, or return a Witness; once per Poset."""
     if P._classification is None:
-        P._classification = _classify(P, min)
+        P._classification = _classify(P)
     return P._classification
 
 
-def _classify(P: Poset, choose):
-    """`classify` with choose picking among candidates: any choice gives one duplication set."""
+def _classify(P: Poset):
+    """`classify` uncached; it picks the least label among candidates."""
     bad = _find_bad_ideal(P)
     if bad is not None:
         fiber = pi_fiber(P, bad)
@@ -268,7 +263,7 @@ def _classify(P: Poset, choose):
         if len(comps) > 1:
             return DisjointUnion(tuple(build(c) for c in comps))
         nonmin = [p for p in elems if P.down_strict(p) & mask]
-        a = choose(nonmin)
+        a = min(nonmin)
         below_a = P.down_strict(a) & mask
         incomp = [
             p
@@ -279,7 +274,7 @@ def _classify(P: Poset, choose):
         if not partners:
             # Hang the strict down-set of a below a in the rest.
             return Hang(build(mask & ~below_a), a, build(below_a))
-        a2 = choose(partners)
+        a2 = min(partners)
         a2bit = 1 << (a2 - 1)
         below_a2 = P.down_strict(a2) & mask
         common = below_a & below_a2

@@ -57,21 +57,28 @@ def truncated(s, N):
     return out
 
 
+def add_terms(s, terms):
+    """s plus each term (t, xs, c), in place, and s returned: a term past
+    the truncation is dropped, and no zero coefficient is kept."""
+    for t, xs, c in terms:
+        xs = tuple(xs)
+        if (sum(xs) if xs else t) <= s.trunc:
+            if c := c + s.coeffs.pop((t, xs), 0):
+                s.coeffs[t, xs] = c
+    return s
+
+
 def one_minus(like, m):
     """1 - m for the key m = (t, xs), shaped like the series like."""
-    out = like.one_like()
-    out.add_term(*m, -1)
-    return out
+    return add_terms(like.one_like(), [(*m, -1)])
 
 
 def plus(a, b, sign=1):
     """a + sign * b, for two series of one shape."""
     assert (a.nx, a.has_t, a.trunc) == (b.nx, b.has_t, b.trunc), "series of different shapes"
     out = TruncSeries(a.nx, a.trunc, a.has_t, xnames=a.xnames)
-    for s, k in ((a, 1), (b, sign)):
-        for (t, xs), c in s.coeffs.items():
-            out.add_term(t, xs, k * c)
-    return out
+    return add_terms(out, [(t, xs, k * c) for s, k in ((a, 1), (b, sign))
+                           for (t, xs), c in s.coeffs.items()])
 
 
 @pytest.fixture(scope="session")
@@ -242,9 +249,7 @@ def specialized(s, P, grading):
     """The (t,x) series s in a grading with an x variable: each term
     t^nu x^f moves to the grading's key of (f, nu)."""
     out, key = graded_key(P, grading, s.trunc)
-    for (t, xs), c in s.coeffs.items():
-        out.add_term(*key(xs, t), c)
-    return out
+    return add_terms(out, [(*key(xs, t), c) for (t, xs), c in s.coeffs.items()])
 
 
 def degree(key):
@@ -316,7 +321,7 @@ def mul_by_tuples(a, b):
 
 def inverse_by_tuples(s):
     """1 / s one degree at a time: b_d = -c0 * sum_{k=1..d} a_k b_{d-k}."""
-    c0, a = s.constant_term(), _buckets(s)
+    c0, a = s.coeffs.get((0, (0,) * s.nx), 0), _buckets(s)
     b = [a[0]]
     for d in range(1, s.trunc + 1):
         acc = {}

@@ -40,7 +40,7 @@ from ppart.fixtures import EX33, FIG1, P2, P3
 from ppart.qpoly import QPolynomial
 from ppart.series import _stanley_q
 
-from conftest import random_posets
+from conftest import add_terms, random_posets
 from cli_golden import capture, case_name, iter_cases, GOLDEN
 
 
@@ -127,12 +127,9 @@ def test_criterion_2_ex33_regression():
         "des_P values",
     )
     g = numerator_polynomial(EX33, 12)
-    expect = g.one_like()
-    expect.add_term(2, (1, 2, 1, 1, 0), -1)
-    expect.add_term(2, (1, 2, 1, 1, 1), -1)
-    expect.add_term(2, (2, 2, 2, 1, 1), -1)
-    expect.add_term(3, (2, 3, 2, 1, 1), 1)
-    expect.add_term(3, (2, 3, 2, 2, 1), 1)
+    expect = add_terms(g.one_like(), [
+        (2, (1, 2, 1, 1, 0), -1), (2, (1, 2, 1, 1, 1), -1), (2, (2, 2, 2, 1, 1), -1),
+        (3, (2, 3, 2, 1, 1), 1), (3, (2, 3, 2, 2, 1), 1)])
     _check(failures, g == expect, "numerator polynomial")
     _check(failures, not ci_test_counts(EX33), "count test false")
     _check(failures, not ci_test_ideals(EX33), "ideal test false")
@@ -155,9 +152,7 @@ def test_criterion_3_three_element_regression():
     h = hilbert_truncated(P2, "standard", "q", 13)
     prod = h.one_like()
     for i in (1, 2, 3):
-        f = h.one_like()
-        f.add_term(0, (i,), -1)
-        prod = prod * f
+        prod = prod * add_terms(h.one_like(), [(0, (i,), -1)])
     res = prod * h
     got = {d: res.coeffs.get((0, (d,)), 0) for d in range(11)}
     _check(

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import pytest
 
 from cli_golden import FIXTURES, GOLDEN, capture, case_name, iter_cases, run_cli
-from conftest import t_series_by_walk
+from conftest import add_terms, random_poset, t_series_by_walk
 from ppart import cli, extensions, series
 from ppart.cli import main
 from ppart.errors import CapError, InputError, PPartError
@@ -227,6 +227,98 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert len(proc.stderr.splitlines()) == 1
+
+
+class TestBoundaryFuzz:
+    """Every command on malformed files, bad option values and small
+    random posets, in-process through `main`: it returns an exit code in
+    0..4 and raises nothing, stderr holds no traceback, and an exit-4
+    message names a number.  Cases that can grow run elsewhere, as
+    processes under a memory ceiling."""
+
+    MALFORMED = {
+        "empty": b"",
+        "comments only": b"# n 3\n\n",
+        "no header": b"1 2\n",
+        "relation before header": b"1 2\nn 3\n",
+        "repeated header": b"n 3\nn 3\n1 2\n",
+        "header without count": b"n\n",
+        "header with two counts": b"n 3 4\n",
+        "n 0": b"n 0\n",
+        "n 65": b"n 65\n",
+        "n 1_0": b"n 1_0\n",
+        "n -3": b"n -3\n",
+        "n +3": b"n +3\n",
+        "n 3.0": b"n 3.0\n",
+        "full-width count": "n ３\n".encode(),
+        "full-width label": "n 3\n1 ２\n".encode(),
+        "signed label": b"n 3\n+1 2\n",
+        "negative label": b"n 3\n-1 2\n",
+        "three tokens": b"n 3\n1 2 3\n",
+        "one token": b"n 3\n1\n",
+        "word label": b"n 3\na b\n",
+        "self-loop": b"n 3\n2 2\n",
+        "2-cycle": b"n 3\n1 2\n2 1\n",
+        "3-cycle": b"n 3\n1 2\n2 3\n3 1\n",
+        "label 0": b"n 3\n0 1\n",
+        "label past n": b"n 3\n1 4\n",
+        "huge label": b"n 3\n1 99999999999999999999\n",
+        "non-UTF-8 comment": b"n 2\n# caf\xe9\n1 2\n",
+        "non-UTF-8 header": b"\xff\xfe n 2\n",
+        "every byte": bytes(range(256)),
+        "NUL in a line": b"n 3\n1\x002\n",
+    }
+
+    # (command, options): values each option's parser refuses, options a
+    # command does not read, and an --out that cannot be written
+    BAD_OPTIONS = [
+        *[(c, [flag, value]) for c in ("hilbert", "extensions", "complex", "selftest")
+          for flag in {"hilbert": ["--trunc"], "extensions": ["--cap"],
+                       "complex": ["--complex-cap"],
+                       "selftest": ["--trunc", "--cap", "--complex-cap"]}[c]
+          for value in ("-1", "x", "", "1e3", "1_0", "３")],
+        ("hilbert", ["--flavor", "bogus"]), ("hilbert", ["--grading", "z"]),
+        ("hilbert", ["--trunc"]), ("presentation", ["--format", "pdf"]),
+        ("presentation", ["--out", "{tmp}"]), ("presentation", ["--out", "{tmp}/no/file"]),
+        ("analyze", ["--trunc", "3"]), ("hook", ["--list"]), ("classify", ["--flavor", "weak"]),
+        ("analyze", ["--bogus"]), ("analyze", []), ("bogus", []),
+    ]
+
+    @staticmethod
+    def _run(argv, capsys, failures):
+        try:
+            code = main(argv)
+        except BaseException as exc:  # noqa: BLE001 - the rule is that nothing escapes
+            failures.append((argv, f"raised {exc!r}"))
+            return
+        err = capsys.readouterr().err
+        if code not in range(5) or "Traceback" in err:
+            failures.append((argv, code, err))
+        elif code == 4 and not re.search(r"\d", err):
+            failures.append((argv, "exit 4 names no number", err))
+
+    def test_every_command_at_the_boundary(self, tmp_path, capsys):
+        failures = []
+        paths = []
+        for i, data in enumerate(self.MALFORMED.values()):
+            paths.append(tmp_path / f"bad{i}.poset")
+            paths[-1].write_bytes(data)
+        for path in paths + [tmp_path / "missing.poset"]:
+            for command in cli._COMMANDS:
+                self._run([command, str(path)], capsys, failures)
+        for command, options in self.BAD_OPTIONS:
+            options = [o.replace("{tmp}", str(tmp_path)) for o in options]
+            self._run([command, P2, *options], capsys, failures)
+        rng = random.Random(33)
+        for i in range(20):
+            P = random_poset(rng, rng.randint(1, 5), rng.choice((0.2, 0.5)))
+            path = tmp_path / f"random{i}.poset"
+            path.write_text(f"n {P.n}\n" + "".join(f"{a} {b}\n" for a, b in P.covers))
+            for command, (_, reads) in cli._COMMANDS.items():
+                self._run([command, str(path)], capsys, failures)
+                for flag in {"--cap", "--complex-cap"} & set(reads):
+                    self._run([command, str(path), flag, "0"], capsys, failures)
+        assert failures == []
 
 
 class TestPayloads:
@@ -529,8 +621,7 @@ class TestSelftestTable:
 
         def wrong_product(*args):
             out = product(*args)
-            out.add_term(0, (0,) * out.nx, 1)
-            return out
+            return add_terms(out, [(0, (0,) * out.nx, 1)])
 
         monkeypatch.setattr(series, "_ci_product", wrong_product)
         code, checks, ok = self.statuses(name, ("--trunc", "6"))

@@ -2,8 +2,9 @@
 every module-level private function or class, and every private method of
 a module-level class, is referenced in the library; series.py imports
 neither the vector listing nor a decomposition of one vector; no module
-imports `dataclasses`; and every function that runs with the cyclic
-collector paused is exercised by the cycle tests.
+imports `dataclasses`; importing ppart parses no fixture file; and every
+function that runs with the cyclic collector paused is exercised by the
+cycle tests.
 
 Stdlib checks by `ast`: an import left behind when its last use goes, or a
 helper orphaned when its last caller goes, fails here.  `__init__.py` is
@@ -12,7 +13,9 @@ skipped by the import check, since it imports to re-export.
 
 import ast
 import itertools
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -140,6 +143,27 @@ def test_detects_an_import_of_dataclasses():
     source = ("from .poset import Poset\nimport json, dataclasses as dc\n\n"
               "def f():\n    from dataclasses import replace\n")
     assert imported_modules(source) == ["dataclasses", "json"]
+
+
+def test_importing_ppart_parses_no_fixture():
+    # a fixture is parsed when its name is first read, in a fresh interpreter here
+    code = ("import ppart, ppart.cli\nfrom ppart.poset import Poset\n"
+            "print([k for k, v in vars(ppart.fixtures).items() if isinstance(v, Poset)])\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_a_fixture_is_parsed_once():
+    from ppart import fixtures
+    from ppart.fixtures import FIG1
+    from ppart.poset import Poset
+
+    assert type(FIG1) is Poset and vars(fixtures)["FIG1"] is FIG1 is fixtures.FIG1
+    with pytest.raises(AttributeError, match="FIG2"):
+        fixtures.FIG2
 
 
 # A kernel runs with the collector paused only if it leaves no cycle

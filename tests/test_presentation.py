@@ -26,6 +26,8 @@ from ppart import (
 from ppart.fixtures import EX33, FIG1, P1, P2, P3
 from ppart.presentation import var_name
 
+from conftest import add_terms
+
 CHAIN3 = Poset(3, [(1, 2), (2, 3)])
 
 
@@ -148,9 +150,7 @@ class TestSemigroupIdeal:
             h = hilbert_truncated(P, "weak", "q", N)
             prod = h.one_like()
             for i in range(1, P.n + 1):
-                f = h.one_like()
-                f.add_term(0, (i,), -1)
-                prod = prod * f
+                prod = prod * add_terms(h.one_like(), [(0, (i,), -1)])
             lhs = prod * h
             for deg in range(mp.degree + 1):
                 shifted = deg - d.maj_p

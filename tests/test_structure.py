@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -27,13 +28,13 @@ from ppart import (
     principal_ideal,
     recipe_poset,
 )
-from ppart import structure
 from ppart.complexes import ForestReport, PForest, SimplicialComplex
 from ppart.fixtures import EX33, FIG1, FORB1, FORB2, FORB3, P1
 from ppart.partitions import ConnDecomposition, DeltaData
 from ppart.presentation import SemigroupIdealData, SyzGenerator
-from ppart.structure import (DisjointUnion, Duplicate, Hang, Leaf, StructureReport, _classify,
-                             _replay, is_ci, is_principal)
+from ppart import series, structure
+from ppart.structure import (DisjointUnion, Duplicate, Hang, Leaf, StructureReport, _replay,
+                             is_principal)
 
 from conftest import ci_counts_by_clashes, random_fwd_poset, random_posets, replay_by_up_sets
 
@@ -79,20 +80,21 @@ class TestClassify:
                     seen |= pair
 
     def test_duplication_set_choice_independent(self, posets5):
-        # D(P) must not depend on which candidate the recursion picks
+        # D(P) must not depend on which candidate the recursion picks;
+        # classify picks the least label, so a relabelling sigma changes
+        # the picks, and D(sigma P) must still be sigma applied to D(P)
+        assert list(inspect.signature(structure._classify).parameters) == ["P"]
         rng = random.Random(11)
-
-        def choose(options):
-            return rng.choice(sorted(options))
-
-        for P in posets5[::23]:
+        for P in posets5[::5]:
             base = classify(P)
             if not isinstance(base, BuildRecipe):
                 continue
             for _ in range(3):
-                again = _classify(P, choose)
+                sigma = dict(zip(range(1, P.n + 1), rng.sample(range(1, P.n + 1), P.n)))
+                again = classify(Poset(P.n, [(sigma[a], sigma[b]) for a, b in P.covers]))
                 assert isinstance(again, BuildRecipe)
-                assert again.duplication_set == base.duplication_set
+                assert again.duplication_set == {
+                    frozenset(map(sigma.get, pair)) for pair in base.duplication_set}
 
 
 def retargeted(node):
@@ -263,23 +265,16 @@ def _forbidden(*args):
 
 
 class TestGate:
-    """`is_ci` reads a kept classification, else the count test, and the
-    hook formulas ask it rather than `classify`."""
-
-    @pytest.mark.parametrize("Q, ci", [(FIG1, True), (EX33, False), (FORB2, False)],
-                             ids=["fig1", "ex33", "forb2"])
-    def test_reads_a_kept_classification(self, monkeypatch, Q, ci):
-        P = Poset(Q.n, sorted(Q.covers))
-        classify(P)
-        monkeypatch.setattr(structure, "ci_test_counts", _forbidden)
-        assert is_ci(P) is ci
+    """The count test `ci_test_counts` is the gate of every formula route:
+    it never classifies, and the hook formulas ask it rather than
+    `classify`."""
 
     @pytest.mark.parametrize("Q, ci", [(FIG1, True), (EX33, False), (FORB2, False)],
                              ids=["fig1", "ex33", "forb2"])
     def test_counts_without_a_classification(self, monkeypatch, Q, ci):
         monkeypatch.setattr(structure, "_classify", _forbidden)
         P = Poset(Q.n, sorted(Q.covers))
-        assert is_ci(P) is ci
+        assert ci_test_counts(P) is ci
         assert P._classification is None
 
     def test_hooks_do_not_classify(self, monkeypatch):
@@ -291,10 +286,12 @@ class TestGate:
             hook_count(fresh[1])
 
     def test_hook_count_after_classify(self, monkeypatch):
-        P = Poset(FIG1.n, sorted(FIG1.covers))
+        # a kept classification does not stand in for the count test
+        P, asked = Poset(FIG1.n, sorted(FIG1.covers)), []
         classify(P)
-        monkeypatch.setattr(structure, "ci_test_counts", _forbidden)
+        monkeypatch.setattr(series, "ci_test_counts", lambda Q: asked.append(Q) or ci_test_counts(Q))
         assert hook_count(P) == 300
+        assert asked == [P]
 
 
 class TestForbidden:
