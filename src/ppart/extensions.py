@@ -207,7 +207,7 @@ def fold_extensions(P: Poset, start, step, merge, depth: int):
     At depth n, R is empty.  Below n, the step must drop a value at a
     descent past depth and keep it elsewhere, and R so listed must be a
     linear extension, the state's one completion (as on a naturally
-    labelled P)."""
+    labelled P).  `maj_coefficients` is its only caller in ppart."""
     level = {0: {0: start}}
     for _ in range(depth):
         nxt: dict[int, dict] = {}

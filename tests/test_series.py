@@ -485,13 +485,14 @@ def _q_by_enumeration(P, flavor, N):
     return {(0, (d,)): c for d, c in counts.items()}
 
 
-def _expanded_sizes(monkeypatch):
-    """The sizes of the ideals that the (ideal, last) walk expands from
-    now on: those whose complements it asks P.minimal_elements for."""
+def _expanded_sizes(monkeypatch, P=None):
+    """The sizes of the ideals that an (ideal, last) walk expands from
+    now on: those whose complements it asks P.minimal_elements for.
+    With P, the walk of `rational_sum_truncated` on P; without, each
+    walk of `fold_extensions` (`maj_coefficients`), on its own poset."""
     sizes = []
-    walk = extensions.fold_extensions
 
-    def counting_walk(P, *args):
+    def watch(P):
         minimal = P.minimal_elements
 
         def counting(mask):
@@ -499,10 +500,17 @@ def _expanded_sizes(monkeypatch):
             return minimal(mask)
 
         monkeypatch.setattr(P, "minimal_elements", counting)
+
+    if P is not None:
+        watch(P)
+        return sizes
+    walk = extensions.fold_extensions
+
+    def counting_walk(P, *args):
+        watch(P)
         return walk(P, *args)
 
     monkeypatch.setattr(extensions, "fold_extensions", counting_walk)
-    monkeypatch.setattr(series, "fold_extensions", counting_walk)  # bound at import
     return sizes
 
 
@@ -606,7 +614,7 @@ class TestRationalSum:
         # grading is truncated by t degree and expands every level
         P = Poset(12, [(i, i + 1) for i in (1, 2, 3, 4, 5, 7, 8, 9, 10, 11)])
         for grading in ("x", "tx", "q", "tq", "t"):
-            sizes = _expanded_sizes(monkeypatch)
+            sizes = _expanded_sizes(monkeypatch, P)
             got = rational_sum_truncated(P, grading, N)
             monkeypatch.undo()
             assert max(sizes) == (P.n - 1 if grading == "t" else min(P.n - 1, N)), grading
@@ -615,11 +623,48 @@ class TestRationalSum:
     def test_antichain_above_the_extension_cap(self, monkeypatch):
         # 14! extensions, but the x fold stops at |I| = 5; the series is
         # prod 1 / (1 - x_i), every monomial of degree <= 4 once
-        sizes = _expanded_sizes(monkeypatch)
-        got = rational_sum_truncated(Poset(14), "x", 4)
+        P = Poset(14)
+        sizes = _expanded_sizes(monkeypatch, P)
+        got = rational_sum_truncated(P, "x", 4)
         assert max(sizes) == 4
         assert len(got.coeffs) == math.comb(18, 4) == 3060
         assert set(got.coeffs.values()) == {1}
+
+    @pytest.mark.parametrize("P, grading, N", [
+        (Poset(8), "t", 12),
+        (natural_relabel(Poset(9, [(1, k) for k in range(2, 10)]))[0], "(t,q)", 12),
+        (FIG1, "(t,x)", 6),
+    ], ids=["antichain8-t", "claw9-tq", "fig1-tx"])
+    def test_one_division_per_ideal(self, monkeypatch, P, grading, N):
+        # the edges out of the states of an ideal I sum to A_p + m T / (1 - m),
+        # so each nonempty expanded ideal divides once, and the full ideal's
+        # factor once more, however many states (I, last) it has
+        divisions = []
+
+        def counting(*args, **kwargs):
+            divisions.append(args)
+            return _over_one_minus(*args, **kwargs)
+
+        monkeypatch.setattr(series, "_over_one_minus", counting)
+        sizes = _expanded_sizes(monkeypatch, P)
+        got = rational_sum_truncated(P, grading, N)
+        monkeypatch.undo()
+        assert len(divisions) == sum(1 for k in sizes if k) + 1
+        assert got == _rational_sum_by_tuples(P, grading, N)
+
+    @pytest.mark.parametrize("P, gradings, N", [
+        (Poset(8), ("t", "tx"), 4),
+        (natural_relabel(Poset(9, [(1, k) for k in range(2, 10)]))[0], ("(t,q)",), 12),
+    ] + [(natural_relabel(P)[0], ("x", "tx", "q", "tq", "t"), 6)
+         for P in random_posets(34, 12, (8, 9), p=0.15)],
+        ids=["antichain8", "claw9"] + [f"random{i}" for i in range(12)])
+    def test_wide_posets_against_the_state_fold(self, P, gradings, N):
+        # many states (I, last) per ideal, so many edges share each division
+        for grading in gradings:
+            start = time.perf_counter()
+            got = rational_sum_truncated(P, grading, N)
+            assert time.perf_counter() - start < 2, grading
+            assert got == _rational_sum_by_tuples(P, grading, N), grading
 
 
 def _numerator_at(P, N):
